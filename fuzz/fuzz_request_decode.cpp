@@ -90,7 +90,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     case ghba::MsgType::kExportFiles:
     case ghba::MsgType::kStatsSnapshot:
     case ghba::MsgType::kRecoveryInfo:
-    case ghba::MsgType::kVersion:
     case ghba::MsgType::kGetMembership:
     case ghba::MsgType::kTxnList:
       break;  // no arguments

@@ -160,9 +160,6 @@ int main(int argc, char** argv) {
   recovery.filter_matched = true;
   WriteSeed(root, "fuzz_protocol_decode", "recovery_info",
             Sel(8, StripEnvelope(ghba::EncodeRecoveryInfoResp(recovery))));
-  WriteSeed(root, "fuzz_protocol_decode", "version",
-            Sel(9, StripEnvelope(ghba::EncodeVersionResp(
-                       ghba::kProtocolVersion))));
   ghba::MembershipResp membership;
   membership.epoch = 7;
   membership.members = {1, 2, 5};
@@ -237,8 +234,6 @@ int main(int argc, char** argv) {
             ghba::EncodeOutcomeReport(report));
   WriteSeed(root, "fuzz_request_decode", "recovery_info",
             ghba::EncodeHeader(ghba::MsgType::kRecoveryInfo));
-  WriteSeed(root, "fuzz_request_decode", "version",
-            ghba::EncodeHeader(ghba::MsgType::kVersion));
   WriteSeed(root, "fuzz_request_decode", "get_membership",
             ghba::EncodeHeader(ghba::MsgType::kGetMembership));
   WriteSeed(root, "fuzz_request_decode", "lease_grant",

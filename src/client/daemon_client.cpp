@@ -20,175 +20,57 @@ Result<std::vector<std::uint8_t>> DaemonClient::Call(
   return conn_.RecvFrame(deadline);
 }
 
-Status DaemonClient::StatusCall(const std::vector<std::uint8_t>& req) {
-  auto resp = Call(req);
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
+Status DaemonClient::Ping() {
+  return StatusReply(Call(EncodeHeader(MsgType::kPing)));
 }
-
-Status DaemonClient::Ping() { return StatusCall(EncodeHeader(MsgType::kPing)); }
 
 Status DaemonClient::Insert(const std::string& path,
                             const FileMetadata& metadata) {
-  return StatusCall(EncodeInsert(path, metadata));
+  return StatusReply(Call(EncodeInsert(path, metadata)));
 }
 
 Status DaemonClient::Unlink(const std::string& path) {
-  return StatusCall(EncodePathRequest(MsgType::kUnlink, path));
+  return StatusReply(Call(EncodePathRequest(MsgType::kUnlink, path)));
 }
 
 Result<DaemonClient::VerifyResult> DaemonClient::Verify(
     const std::string& path) {
   VerifyResult out;
-  {
-    auto resp = Call(EncodePathRequest(MsgType::kVerify, path));
-    if (!resp.ok()) return resp.status();
-    ByteReader in(*resp);
-    auto env = OpenEnvelope(in);
-    if (!env.ok()) return env.status();
-    if (!env->has_payload) return env->status;
-    auto present = DecodeBoolResp(in);
-    if (!present.ok()) return present.status();
-    out.present = *present;
-  }
-  {
-    // The routing picture: which replicas (and the L1 cache) would have
-    // sent a cascade here.
-    auto resp = Call(EncodePathRequest(MsgType::kLookupLocal, path));
-    if (!resp.ok()) return resp.status();
-    ByteReader in(*resp);
-    auto env = OpenEnvelope(in);
-    if (!env.ok()) return env.status();
-    if (!env->has_payload) return env->status;
-    auto local = DecodeLocalLookupResp(in);
-    if (!local.ok()) return local.status();
-    out.replica_hits = std::move(local->hits);
-    out.lru_unique = local->lru_unique;
-    out.lru_home = local->lru_home;
-  }
+  auto present = DecodeReply(Call(EncodePathRequest(MsgType::kVerify, path)),
+                             DecodeBoolResp);
+  if (!present.ok()) return present.status();
+  out.present = *present;
+  // The routing picture: which replicas (and the L1 cache) would have
+  // sent a cascade here.
+  auto local =
+      DecodeReply(Call(EncodePathRequest(MsgType::kLookupLocal, path)),
+                  DecodeLocalLookupResp);
+  if (!local.ok()) return local.status();
+  out.replica_hits = std::move(local->hits);
+  out.lru_unique = local->lru_unique;
+  out.lru_home = local->lru_home;
   if (out.present) {
-    // A v4 daemon identifies itself through the lease grant; an older one
-    // (kCorruption reject on the unknown type) leaves resolved unset.
-    auto resp = Call(EncodePathRequest(MsgType::kLeaseGrant, path));
-    if (resp.ok()) {
-      ByteReader in(*resp);
-      auto env = OpenEnvelope(in);
-      if (env.ok() && env->has_payload) {
-        if (auto lease = DecodeLeaseGrantResp(in); lease.ok()) {
-          out.resolved = lease->home;
-          out.lease_granted = lease->granted;
-          out.lease_ttl_ms = lease->ttl_ms;
-        }
-      }
-    }
+    // The daemon identifies itself through the lease grant.
+    auto lease = RequestLease(path);
+    if (!lease.ok()) return lease.status();
+    out.resolved = lease->home;
+    out.lease_granted = lease->granted;
+    out.lease_ttl_ms = lease->ttl_ms;
   }
   return out;
 }
 
 Result<LeaseGrantResp> DaemonClient::RequestLease(const std::string& path) {
-  auto resp = Call(EncodePathRequest(MsgType::kLeaseGrant, path));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeLeaseGrantResp(in);
+  return DecodeReply(Call(EncodePathRequest(MsgType::kLeaseGrant, path)),
+                     DecodeLeaseGrantResp);
 }
 
 Status DaemonClient::Invalidate(const std::string& path) {
-  return StatusCall(EncodePathRequest(MsgType::kInvalidate, path));
+  return StatusReply(Call(EncodePathRequest(MsgType::kInvalidate, path)));
 }
 
 Result<StatsResp> DaemonClient::Stats() {
-  auto resp = Call(EncodeHeader(MsgType::kGetStats));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeStatsResp(in);
-}
-
-Status DaemonClient::TxnBegin(std::uint64_t txn_id,
-                              const std::vector<MdsId>& participants) {
-  TxnBeginReq req;
-  req.txn_id = txn_id;
-  req.participants = participants;
-  return StatusCall(EncodeTxnBegin(req));
-}
-
-Result<TxnPrepareResp> DaemonClient::TxnPrepare(const TxnPrepareReq& req) {
-  auto resp = Call(EncodeTxnPrepare(req));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;  // a NO vote is a plain status
-  return DecodeTxnPrepareResp(in);
-}
-
-Status DaemonClient::TxnDecide(std::uint64_t txn_id, bool commit) {
-  TxnDecideReq req;
-  req.txn_id = txn_id;
-  req.commit = commit;
-  return StatusCall(EncodeTxnDecide(req));
-}
-
-Status DaemonClient::TxnCommit(std::uint64_t txn_id, const std::string& path) {
-  TxnFinishReq req;
-  req.path = path;
-  req.txn_id = txn_id;
-  return StatusCall(EncodeTxnFinish(MsgType::kTxnCommit, req));
-}
-
-Status DaemonClient::TxnAbort(std::uint64_t txn_id, const std::string& path) {
-  TxnFinishReq req;
-  req.path = path;
-  req.txn_id = txn_id;
-  return StatusCall(EncodeTxnFinish(MsgType::kTxnAbort, req));
-}
-
-Result<TxnDecisionState> DaemonClient::TxnResolve(std::uint64_t txn_id) {
-  auto resp = Call(EncodeTxnResolve(txn_id));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  auto decoded = DecodeTxnResolveResp(in);
-  if (!decoded.ok()) return decoded.status();
-  return decoded->state;
-}
-
-Result<TxnListResp> DaemonClient::TxnList() {
-  auto resp = Call(EncodeHeader(MsgType::kTxnList));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeTxnListResp(in);
-}
-
-Result<std::uint32_t> DaemonClient::Version() {
-  auto resp = Call(EncodeHeader(MsgType::kVersion));
-  if (!resp.ok()) {
-    // A pre-kVersion daemon rejects the unknown type as corruption; that
-    // reject is itself the answer.
-    if (resp.status().code() == StatusCode::kCorruption) return 1u;
-    return resp.status();
-  }
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) {
-    return env->status.ok() ? Result<std::uint32_t>(1u)
-                            : Result<std::uint32_t>(env->status);
-  }
-  return DecodeVersionResp(in);
+  return DecodeReply(Call(EncodeHeader(MsgType::kGetStats)), DecodeStatsResp);
 }
 
 Status DaemonClient::Shutdown() {

@@ -34,7 +34,7 @@ class DaemonClient {
   struct VerifyResult {
     bool present = false;
     /// Id of the server whose exact store holds the path (the lease
-    /// grantor), or kInvalidMds against a pre-v4 daemon or when absent.
+    /// grantor), or kInvalidMds when absent.
     MdsId resolved = kInvalidMds;
     bool lease_granted = false;
     std::uint32_t lease_ttl_ms = 0;
@@ -51,9 +51,9 @@ class DaemonClient {
   Status Unlink(const std::string& path);
 
   /// Exact membership probe plus routing resolution: kVerify for the
-  /// verdict, kLookupLocal for the L1/L2 routing picture, and (against a
-  /// v4 daemon, for a present path) kLeaseGrant to learn the resolved
-  /// server id from the grant.
+  /// verdict, kLookupLocal for the L1/L2 routing picture, and (for a
+  /// present path) kLeaseGrant to learn the resolved server id from the
+  /// grant. Any failed exchange fails the whole call.
   Result<VerifyResult> Verify(const std::string& path);
 
   /// Lease/invalidate pair, exposed for scripting coherence experiments.
@@ -62,35 +62,16 @@ class DaemonClient {
 
   Result<StatsResp> Stats();
 
-  // --- distributed transactions (v5) ---
-  // Typed wrappers over the kTxn* family, one per wire message. The
-  // txn_chaos tool builds its TxnTransport from these: the same TxnDriver
-  // choreography proven in-process then runs against real daemons it can
-  // kill -9 between phases.
-  Status TxnBegin(std::uint64_t txn_id,
-                  const std::vector<MdsId>& participants);
-  Result<TxnPrepareResp> TxnPrepare(const TxnPrepareReq& req);
-  Status TxnDecide(std::uint64_t txn_id, bool commit);
-  Status TxnCommit(std::uint64_t txn_id, const std::string& path);
-  Status TxnAbort(std::uint64_t txn_id, const std::string& path);
-  Result<TxnDecisionState> TxnResolve(std::uint64_t txn_id);
-  Result<TxnListResp> TxnList();
-
-  /// Protocol version the daemon speaks (kVersion; pre-v1 daemons that
-  /// reject the probe report 1).
-  Result<std::uint32_t> Version();
-
   /// Fire-and-forget kShutdown.
   Status Shutdown();
+
+  /// One raw request/response exchange with the per-call deadline (the
+  /// txn_chaos tool drives TxnDriver over this).
+  Result<std::vector<std::uint8_t>> Call(const std::vector<std::uint8_t>& req);
 
  private:
   DaemonClient(TcpConnection conn, std::uint32_t io_timeout_ms)
       : conn_(std::move(conn)), io_timeout_ms_(io_timeout_ms) {}
-
-  /// One request/response exchange with the per-call deadline.
-  Result<std::vector<std::uint8_t>> Call(const std::vector<std::uint8_t>& req);
-  /// Exchange + envelope open for calls whose payload is just a Status.
-  Status StatusCall(const std::vector<std::uint8_t>& req);
 
   TcpConnection conn_;
   std::uint32_t io_timeout_ms_;

@@ -1,38 +1,25 @@
-// Deployment-mode transaction harness: real mds_daemon processes under a
-// client that can kill -9 them between 2PC phases.
+// Deployment-mode harness: fork/exec real mds_daemon processes so a
+// client can kill -9 them between 2PC phases.
 //
-// Two pieces, shared by the txn_chaos tool and the daemon-mode txn test:
+// DaemonProcess runs one mds_daemon on an ephemeral port. The child binds
+// port 0, and the parent parses the actual port from the
+// "listening on 127.0.0.1:<port>" line on the child's stdout, so
+// concurrent harnesses never collide. Kill9() delivers exactly the fault
+// the crash matrix is about: SIGKILL, no flush, no goodbye. Start() on the
+// same data dir afterwards is the recovery under test.
 //
-//   * DaemonProcess — fork/exec one mds_daemon on an ephemeral port (the
-//     child binds port 0; the parent parses the actual port from the
-//     "listening on 127.0.0.1:<port>" line on the child's stdout, so
-//     concurrent harnesses never collide). Kill9() delivers exactly the
-//     fault the crash matrix is about: SIGKILL, no flush, no goodbye.
-//     Start() on the same data dir afterwards is the recovery under test.
-//
-//   * DaemonTxnTransport — TxnTransport over DaemonClient connections, one
-//     lazily-(re)established session per server id. Any call error drops
-//     the cached session, so a daemon restarted on a NEW port just needs
-//     SetPort() and the next call reconnects. Confirmed death is harness
-//     bookkeeping (MarkDead after a Kill9), never a guess from timeouts —
-//     exactly like the in-process orchestrator, a slow-but-alive server
-//     must not trigger presumed abort.
-//
-// This lives in the client library (not tools/) because the daemon-mode
-// test links it too: the point of the harness is that the SAME TxnDriver
-// choreography proven in-process runs unchanged against real processes.
+// The txn_chaos tool drives TxnDriver through it, with DaemonClient::Call
+// as the transport and !running() as confirmed death. The daemon-mode
+// gtest (TxnDaemonTest) does not link this library; it execs txn_chaos.
 #pragma once
 
 #include <sys/types.h>
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "client/daemon_client.hpp"
-#include "txn/txn_driver.hpp"
+#include "common/lookup_outcome.hpp"
+#include "common/status.hpp"
 
 namespace ghba {
 
@@ -80,53 +67,6 @@ class DaemonProcess {
   pid_t pid_ = -1;
   int stdout_fd_ = -1;  ///< read end of the child's stdout pipe
   std::uint16_t port_ = 0;
-};
-
-/// TxnTransport over per-server DaemonClient sessions.
-class DaemonTxnTransport final : public TxnTransport {
- public:
-  explicit DaemonTxnTransport(std::uint32_t io_timeout_ms = 2000)
-      : io_timeout_ms_(io_timeout_ms) {}
-
-  /// Bind (or rebind, after a restart) server `id` to `port`. Drops any
-  /// cached session and clears the dead mark.
-  void SetPort(MdsId id, std::uint16_t port);
-
-  /// Record that `id` was killed (Kill9) — TxnServerConfirmedDead answers
-  /// true until the next SetPort.
-  void MarkDead(MdsId id);
-
-  Status TxnBegin(MdsId coordinator, std::uint64_t txn_id,
-                  const std::vector<MdsId>& participants) override;
-  Result<std::optional<FileMetadata>> TxnPrepare(
-      MdsId participant, const TxnPendingOp& op) override;
-  Status TxnDecide(MdsId coordinator, std::uint64_t txn_id,
-                   bool commit) override;
-  Status TxnCommit(MdsId participant, std::uint64_t txn_id,
-                   const std::string& path) override;
-  Status TxnAbort(MdsId participant, std::uint64_t txn_id,
-                  const std::string& path) override;
-  Result<std::vector<TxnPendingOp>> TxnList(MdsId server) override;
-  Result<TxnResolution> TxnQueryDecision(MdsId coordinator,
-                                         std::uint64_t txn_id) override;
-  bool TxnServerConfirmedDead(MdsId server) override;
-
- private:
-  struct Peer {
-    std::uint16_t port = 0;
-    bool dead = false;
-    std::optional<DaemonClient> session;
-  };
-
-  /// The (re)connected session for `id`, or null with the connect error
-  /// left for the caller to surface as Unavailable.
-  DaemonClient* Session(MdsId id);
-  /// Drop `id`'s cached session after any call error (the next call
-  /// reconnects — possibly to a restarted daemon).
-  void Invalidate(MdsId id);
-
-  std::uint32_t io_timeout_ms_;
-  std::map<MdsId, Peer> peers_;
 };
 
 }  // namespace ghba

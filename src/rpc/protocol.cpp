@@ -650,10 +650,22 @@ Result<Envelope> OpenEnvelope(ByteReader& in) {
   return env;
 }
 
+Status StatusReply(const Result<std::vector<std::uint8_t>>& resp) {
+  if (!resp.ok()) return resp.status();
+  ByteReader in(*resp);
+  auto env = OpenEnvelope(in);
+  if (!env.ok()) return env.status();
+  return env->status;
+}
+
 Result<MsgType> DecodeType(ByteReader& in) {
   auto t = in.GetU16();
   if (!t.ok()) return t.status();
-  if (*t < 1 || *t > static_cast<std::uint16_t>(MsgType::kTxnList)) {
+  // Tag 19 is retired: peers do not negotiate versions (kProtocolVersion
+  // rides in the frame magic), so it is as unknown as an out-of-range tag.
+  constexpr std::uint16_t kRetiredVersionProbe = 19;
+  if (*t < 1 || *t > static_cast<std::uint16_t>(MsgType::kTxnList) ||
+      *t == kRetiredVersionProbe) {
     return Status::Corruption("unknown message type");
   }
   return static_cast<MsgType>(*t);
@@ -712,20 +724,6 @@ Result<std::vector<std::vector<std::uint8_t>>> DecodeBatchRequest(
     subs.push_back(std::move(*bytes));
   }
   return subs;
-}
-
-std::vector<std::uint8_t> EncodeVersionResp(std::uint32_t version) {
-  ByteWriter w;
-  w.PutU8(1);  // envelope
-  w.PutU32(version);
-  return w.Take();
-}
-
-Result<std::uint32_t> DecodeVersionResp(ByteReader& in) {
-  auto v = in.GetU32();
-  if (!v.ok()) return v.status();
-  if (*v == 0) return Status::Corruption("bad protocol version");
-  return *v;
 }
 
 std::vector<std::uint8_t> EncodeBatchResp(

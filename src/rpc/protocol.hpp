@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
@@ -43,7 +44,7 @@ enum class MsgType : std::uint16_t {
   kStatsSnapshot = 16,  ///< full metrics snapshot -> StatsSnapshotResp
   kReportOutcome = 17,  ///< client reports a finished lookup; no response
   kRecoveryInfo = 18,   ///< what recovery found at startup -> RecoveryInfoResp
-  kVersion = 19,        ///< protocol version handshake -> u32 version
+  // 19 is retired; DecodeType rejects it as an unknown type.
   kBatch = 20,          ///< many request/response sub-frames, one CRC
   kMembershipUpdate = 21,  ///< push a new cluster view (epoch + members)
   kGetMembership = 22,     ///< read the server's view -> MembershipResp
@@ -59,14 +60,11 @@ enum class MsgType : std::uint16_t {
   kTxnList = 31,     ///< enumerate in-doubt prepares -> TxnListResp
 };
 
-/// Protocol revision this build speaks. v2 added kVersion and kBatch; v3
-/// adds the reconfiguration messages (kMembershipUpdate, kGetMembership)
-/// and the epoch field on RecoveryInfoResp; v4 adds the client-cache
-/// coherence pair (kLeaseGrant, kInvalidate) and the kRetryAfter shed
-/// status; v5 adds the distributed-transaction family (kTxnBegin ..
-/// kTxnList) behind Client::Rename / CreateExclusive. A v1 peer rejects
-/// unknown types with kCorruption ("unknown message type"), which is what
-/// the client's version probe keys its fallback on.
+/// Protocol revision this build speaks. Every peer comes from one build,
+/// so nothing negotiates it: the revision rides in the frame magic
+/// (kFrameMagic1 in socket.hpp), and a frame from another revision fails
+/// the receiver's magic check as kCorruption before any decoder runs.
+/// Bump it whenever the wire changes.
 inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// Upper bound on sub-frames per kBatch frame: enough for any realistic
@@ -347,7 +345,6 @@ std::vector<std::uint8_t> EncodeStatsResp(const StatsResp& stats);
 std::vector<std::uint8_t> EncodeStatsSnapshotResp(
     const StatsSnapshotResp& snap);
 std::vector<std::uint8_t> EncodeRecoveryInfoResp(const RecoveryInfoResp& info);
-std::vector<std::uint8_t> EncodeVersionResp(std::uint32_t version);
 std::vector<std::uint8_t> EncodeMembershipResp(const MembershipResp& resp);
 std::vector<std::uint8_t> EncodeLeaseGrantResp(const LeaseGrantResp& resp);
 std::vector<std::uint8_t> EncodeTxnPrepareResp(const TxnPrepareResp& resp);
@@ -384,12 +381,34 @@ Result<StatsResp> DecodeStatsResp(ByteReader& in);
 Result<StatsSnapshotResp> DecodeStatsSnapshotResp(ByteReader& in);
 Result<FileListResp> DecodeFileListResp(ByteReader& in);
 Result<RecoveryInfoResp> DecodeRecoveryInfoResp(ByteReader& in);
-Result<std::uint32_t> DecodeVersionResp(ByteReader& in);
 Result<MembershipResp> DecodeMembershipResp(ByteReader& in);
 Result<LeaseGrantResp> DecodeLeaseGrantResp(ByteReader& in);
 Result<TxnPrepareResp> DecodeTxnPrepareResp(ByteReader& in);
 Result<TxnResolveResp> DecodeTxnResolveResp(ByteReader& in);
 Result<TxnListResp> DecodeTxnListResp(ByteReader& in);
 Result<std::vector<std::vector<std::uint8_t>>> DecodeBatchResp(ByteReader& in);
+
+// --- reply helpers (client side) ---
+
+/// The remote status of a reply whose payload, if any, the caller does not
+/// need: the transport error, a mangled envelope, or the carried Status.
+Status StatusReply(const Result<std::vector<std::uint8_t>>& resp);
+
+/// Decode a typed reply: the transport error, a mangled envelope, the
+/// carried error Status, or `decode` applied to the payload. An OK reply
+/// without a payload is kCorruption (the peer answered the wrong shape).
+template <typename Decode>
+auto DecodeReply(const Result<std::vector<std::uint8_t>>& resp, Decode decode)
+    -> decltype(decode(std::declval<ByteReader&>())) {
+  if (!resp.ok()) return resp.status();
+  ByteReader in(*resp);
+  auto env = OpenEnvelope(in);
+  if (!env.ok()) return env.status();
+  if (!env->has_payload) {
+    if (env->status.ok()) return Status::Corruption("reply carries no payload");
+    return env->status;
+  }
+  return decode(in);
+}
 
 }  // namespace ghba

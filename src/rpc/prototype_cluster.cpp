@@ -111,7 +111,6 @@ Status PrototypeCluster::StartServer(MdsId id) {
   if (servers_.size() <= id) servers_.resize(id + 1);
   servers_[id] = std::move(server);
   health_.Forget(id);  // a fresh server starts with a clean slate
-  peer_version_.erase(id);  // a new incarnation may speak a new protocol
   return Status::Ok();
 }
 
@@ -271,73 +270,23 @@ Status PrototypeCluster::OneWay(MdsId id, const std::vector<std::uint8_t>& frame
   return s;
 }
 
-std::uint32_t PrototypeCluster::PeerVersion(MdsId id) {
-  if (const auto it = peer_version_.find(id); it != peer_version_.end()) {
-    return it->second;
-  }
-  std::uint32_t version = 1;
-  auto resp = Call(id, EncodeHeader(MsgType::kVersion));
-  if (resp.ok()) {
-    ByteReader in(*resp);
-    const auto env = OpenEnvelope(in);
-    if (env.ok() && env->has_payload) {
-      if (const auto v = DecodeVersionResp(in); v.ok()) version = *v;
-    }
-  } else if (resp.status().code() != StatusCode::kCorruption) {
-    // Transport failure: no verdict on what the peer speaks — assume the
-    // lowest common denominator for this call but re-probe next time.
-    return 1;
-  }
-  // Either a real answer or a kCorruption reject ("unknown message type"
-  // from a pre-kVersion peer): both are durable for this incarnation.
-  peer_version_[id] = version;
-  return version;
-}
-
-Result<std::uint32_t> PrototypeCluster::ProtocolVersionOf(MdsId id) {
-  MutexLock lock(&mu_);
-  if (id >= servers_.size() || !servers_[id]) {
-    return Status::Unavailable("server is down");
-  }
-  return PeerVersion(id);
-}
-
 Result<std::vector<std::vector<std::uint8_t>>> PrototypeCluster::CallBatch(
     MdsId id, const std::vector<std::vector<std::uint8_t>>& reqs) {
   std::vector<std::vector<std::uint8_t>> out;
   out.reserve(reqs.size());
-  if (reqs.size() > 1 && PeerVersion(id) >= 2) {
-    for (std::size_t off = 0; off < reqs.size();) {
-      const std::size_t n = std::min<std::size_t>(
-          static_cast<std::size_t>(kMaxBatchFrames), reqs.size() - off);
-      const std::vector<std::vector<std::uint8_t>> window(
-          reqs.begin() + static_cast<std::ptrdiff_t>(off),
-          reqs.begin() + static_cast<std::ptrdiff_t>(off + n));
-      auto resp = Call(id, EncodeBatch(window));
-      if (!resp.ok()) return resp.status();
-      ByteReader in(*resp);
-      const auto env = OpenEnvelope(in);
-      if (!env.ok()) return env.status();
-      if (!env->has_payload) {
-        return env->status.ok()
-                   ? Status::Corruption("batch response carries no payload")
-                   : env->status;
-      }
-      auto subs = DecodeBatchResp(in);
-      if (!subs.ok()) return subs.status();
-      if (subs->size() != n) {
-        return Status::Corruption("batch response count mismatch");
-      }
-      for (auto& sub : *subs) out.push_back(std::move(sub));
-      off += n;
+  for (std::size_t off = 0; off < reqs.size();) {
+    const std::size_t n = std::min<std::size_t>(
+        static_cast<std::size_t>(kMaxBatchFrames), reqs.size() - off);
+    const std::vector<std::vector<std::uint8_t>> window(
+        reqs.begin() + static_cast<std::ptrdiff_t>(off),
+        reqs.begin() + static_cast<std::ptrdiff_t>(off + n));
+    auto subs = DecodeReply(Call(id, EncodeBatch(window)), DecodeBatchResp);
+    if (!subs.ok()) return subs.status();
+    if (subs->size() != n) {
+      return Status::Corruption("batch response count mismatch");
     }
-    return out;
-  }
-  // Single request, or a v1 peer: plain pipelined-by-caller Calls.
-  for (const auto& req : reqs) {
-    auto resp = Call(id, req);
-    if (!resp.ok()) return resp.status();
-    out.push_back(std::move(*resp));
+    for (auto& sub : *subs) out.push_back(std::move(sub));
+    off += n;
   }
   return out;
 }
@@ -384,23 +333,13 @@ bool PrototypeCluster::ConfirmDead(MdsId id) {
 }
 
 Result<BloomFilter> PrototypeCluster::FetchFilter(MdsId owner) {
-  auto resp = Call(owner, EncodeHeader(MsgType::kGetFilter));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecompressFilter(in);
+  return DecodeReply(Call(owner, EncodeHeader(MsgType::kGetFilter)),
+                     DecompressFilter);
 }
 
 Status PrototypeCluster::InstallReplica(MdsId holder, MdsId owner,
                                         const BloomFilter& filter) {
-  auto resp = Call(holder, EncodeReplicaInstall(owner, filter));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
+  return StatusReply(Call(holder, EncodeReplicaInstall(owner, filter)));
 }
 
 MdsId PrototypeCluster::LightestMember(const GroupInfo& g) const {
@@ -465,7 +404,6 @@ void PrototypeCluster::PushMembershipLocked(ReconfigReason reason) {
   FlagGuard guard(in_failover_);  // push traffic accounts, never chases
   ++routing_epoch_;
   for (const MdsId id : AliveServersLocked()) {
-    if (PeerVersion(id) < 3) continue;  // pre-v3 peer holds no view
     MembershipUpdate update;
     update.epoch = routing_epoch_;
     update.reason = reason;
@@ -480,13 +418,8 @@ void PrototypeCluster::PushMembershipLocked(ReconfigReason reason) {
 }
 
 Result<MembershipResp> PrototypeCluster::FetchMembership(MdsId id) {
-  auto resp = Call(id, EncodeHeader(MsgType::kGetMembership));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeMembershipResp(in);
+  return DecodeReply(Call(id, EncodeHeader(MsgType::kGetMembership)),
+                     DecodeMembershipResp);
 }
 
 Result<MembershipResp> PrototypeCluster::MembershipOf(MdsId id) {
@@ -517,14 +450,10 @@ Result<MdsId> PrototypeCluster::HolderOf(MdsId group_member,
 
 Result<bool> PrototypeCluster::HoldsReplica(MdsId holder, MdsId owner) {
   MutexLock lock(&mu_);
-  auto resp = Call(holder, EncodeReplicaFetch(owner));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (env->has_payload) return true;
-  if (env->status.code() == StatusCode::kNotFound) return false;
-  return env->status;
+  const Status s = StatusReply(Call(holder, EncodeReplicaFetch(owner)));
+  if (s.ok()) return true;  // the reply carries the replica itself
+  if (s.code() == StatusCode::kNotFound) return false;
+  return s;
 }
 
 Status PrototypeCluster::Insert(const std::string& path,
@@ -533,12 +462,7 @@ Status PrototypeCluster::Insert(const std::string& path,
   const auto alive = AliveServersLocked();
   if (alive.empty()) return Status::Unavailable("no servers");
   const MdsId home = alive[rng_.NextBounded(alive.size())];
-  auto resp = Call(home, EncodeInsert(path, metadata));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
+  return StatusReply(Call(home, EncodeInsert(path, metadata)));
 }
 
 Status PrototypeCluster::InsertBatch(
@@ -557,10 +481,7 @@ Status PrototypeCluster::InsertBatch(
     auto resps = CallBatch(home, reqs);
     if (!resps.ok()) return resps.status();
     for (const auto& resp : *resps) {
-      ByteReader in(resp);
-      const auto env = OpenEnvelope(in);
-      if (!env.ok()) return env.status();
-      if (!env->status.ok()) return env->status;
+      if (Status s = StatusReply(resp); !s.ok()) return s;
     }
   }
   return Status::Ok();
@@ -568,13 +489,9 @@ Status PrototypeCluster::InsertBatch(
 
 Result<bool> PrototypeCluster::VerifyAt(MdsId candidate,
                                         const std::string& path) {
-  auto resp = Call(candidate, EncodePathRequest(MsgType::kVerify, path));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeBoolResp(in);
+  return DecodeReply(
+      Call(candidate, EncodePathRequest(MsgType::kVerify, path)),
+      DecodeBoolResp);
 }
 
 Result<LookupOutcome> PrototypeCluster::Lookup(const std::string& path) {
@@ -597,15 +514,11 @@ Result<LookupOutcome> PrototypeCluster::LookupLocked(
   // to the lower levels (empty local result) instead of failing it: the
   // hierarchy below is a superset of what the entry could have answered.
   LocalLookupResp local;
-  if (auto resp = Call(entry, EncodePathRequest(MsgType::kLookupLocal, path));
-      resp.ok()) {
-    ByteReader in(*resp);
-    auto env = OpenEnvelope(in);
-    if (env.ok() && env->has_payload) {
-      if (auto decoded = DecodeLocalLookupResp(in); decoded.ok()) {
-        local = std::move(*decoded);
-      }
-    }
+  if (auto decoded = DecodeReply(
+          Call(entry, EncodePathRequest(MsgType::kLookupLocal, path)),
+          DecodeLocalLookupResp);
+      decoded.ok()) {
+    local = std::move(*decoded);
   }
 
   if (local.lru_unique && TryVerifyOnce(q, local.lru_home, path)) {
@@ -631,13 +544,10 @@ Result<LookupOutcome> PrototypeCluster::LookupLocked(
     for (const MdsId m : members) {
       if (m == entry) continue;
       q.Contact(m);
-      auto probe = Call(m, EncodePathRequest(MsgType::kGroupProbe, path));
-      if (!probe.ok()) continue;  // a slow/dead peer must not fail the query
-      ByteReader pin(*probe);
-      auto penv = OpenEnvelope(pin);
-      if (!penv.ok() || !penv->has_payload) continue;
-      auto presp = DecodeLocalLookupResp(pin);
-      if (!presp.ok()) continue;
+      auto presp =
+          DecodeReply(Call(m, EncodePathRequest(MsgType::kGroupProbe, path)),
+                      DecodeLocalLookupResp);
+      if (!presp.ok()) continue;  // a slow/dead peer must not fail the query
       candidates.insert(candidates.end(), presp->hits.begin(),
                         presp->hits.end());
     }
@@ -659,18 +569,9 @@ Result<LookupOutcome> PrototypeCluster::LookupLocked(
   for (MdsId m = 0; m < servers_.size(); ++m) {
     if (!servers_[m]) continue;
     q.Contact(m);
-    auto probe = Call(m, EncodePathRequest(MsgType::kGlobalProbe, path));
-    if (!probe.ok()) {
-      all_peers_answered = false;
-      continue;
-    }
-    ByteReader pin(*probe);
-    auto penv = OpenEnvelope(pin);
-    if (!penv.ok() || !penv->has_payload) {
-      all_peers_answered = false;
-      continue;
-    }
-    auto found = DecodeBoolResp(pin);
+    auto found =
+        DecodeReply(Call(m, EncodePathRequest(MsgType::kGlobalProbe, path)),
+                    DecodeBoolResp);
     if (!found.ok()) {
       all_peers_answered = false;
       continue;
@@ -764,178 +665,32 @@ Status PrototypeCluster::Unlink(const std::string& path) {
   auto located = LookupLocked(path);
   if (!located.ok()) return located.status();
   if (!located->found) return Status::NotFound(path);
-  auto resp = Call(located->home, EncodePathRequest(MsgType::kUnlink, path));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
+  return StatusReply(
+      Call(located->home, EncodePathRequest(MsgType::kUnlink, path)));
 }
 
-// --- distributed transactions (v5) ---
+// --- distributed transactions ---
 
-/// TxnDriver's transport, bound to the cluster's Call() path. Every method
-/// takes mu_ for exactly one message round-trip: a drive holds no lock
-/// between messages, so lookups, inserts and even fail-overs interleave
-/// with an in-flight transaction — the same concurrency real daemons see.
-struct PrototypeCluster::TxnBridge final : TxnTransport {
-  explicit TxnBridge(PrototypeCluster* cluster) : c(cluster) {}
-
-  Status TxnBegin(MdsId coordinator, std::uint64_t txn_id,
-                  const std::vector<MdsId>& participants) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnBeginAt(coordinator, txn_id, participants);
-  }
-  Result<std::optional<FileMetadata>> TxnPrepare(
-      MdsId participant, const TxnPendingOp& op) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnPrepareAt(participant, op);
-  }
-  Status TxnDecide(MdsId coordinator, std::uint64_t txn_id,
-                   bool commit) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnDecideAt(coordinator, txn_id, commit);
-  }
-  Status TxnCommit(MdsId participant, std::uint64_t txn_id,
-                   const std::string& path) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnFinishAt(MsgType::kTxnCommit, participant, txn_id, path);
-  }
-  Status TxnAbort(MdsId participant, std::uint64_t txn_id,
-                  const std::string& path) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnFinishAt(MsgType::kTxnAbort, participant, txn_id, path);
-  }
-  Result<std::vector<TxnPendingOp>> TxnList(MdsId server) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnListAt(server);
-  }
-  Result<TxnResolution> TxnQueryDecision(MdsId coordinator,
-                                         std::uint64_t txn_id) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnQueryDecisionAt(coordinator, txn_id);
-  }
-  bool TxnServerConfirmedDead(MdsId server) override {
-    MutexLock lock(&c->mu_);
-    // The orchestrator's own bookkeeping is the truth here: a crashed or
-    // removed server has a stopped (or absent) MdsServer object. A server
-    // that is up but slow keeps its object running, so a transient stall
-    // never masquerades as death and resolution stays in doubt instead of
-    // presuming abort too eagerly.
-    return server >= c->servers_.size() || !c->servers_[server] ||
-           !c->servers_[server]->running();
-  }
-  /// TxnDriver's after_step hook (not part of the transport interface).
-  bool AfterStep(TxnPhase phase, MdsId target) {
-    MutexLock lock(&c->mu_);
-    return c->TxnStepLocked(phase, target);
-  }
-
-  PrototypeCluster* c;
-};
-
-Status PrototypeCluster::TxnBeginAt(MdsId coordinator, std::uint64_t txn_id,
-                                    const std::vector<MdsId>& participants) {
-  TxnBeginReq req;
-  req.txn_id = txn_id;
-  req.participants = participants;
-  auto resp = Call(coordinator, EncodeTxnBegin(req));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
-}
-
-Result<std::optional<FileMetadata>> PrototypeCluster::TxnPrepareAt(
-    MdsId participant, const TxnPendingOp& op) {
-  TxnPrepareReq req;
-  req.path = op.path;
-  req.txn_id = op.txn_id;
-  req.coordinator = op.coordinator;
-  req.subop = op.subop;
-  req.participants = op.participants;
-  req.metadata = op.metadata;
-  auto resp = Call(participant, EncodeTxnPrepare(req));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  // A NO vote (NotFound, AlreadyExists, intent-locked, ...) arrives as a
-  // plain status envelope; the driver turns it into an abort.
-  if (!env->has_payload) return env->status;
-  auto vote = DecodeTxnPrepareResp(in);
-  if (!vote.ok()) return vote.status();
-  if (!vote->has_metadata) return std::optional<FileMetadata>();
-  return std::optional<FileMetadata>(std::move(vote->metadata));
-}
-
-Status PrototypeCluster::TxnDecideAt(MdsId coordinator, std::uint64_t txn_id,
-                                     bool commit) {
-  TxnDecideReq req;
-  req.txn_id = txn_id;
-  req.commit = commit;
-  auto resp = Call(coordinator, EncodeTxnDecide(req));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
-}
-
-Status PrototypeCluster::TxnFinishAt(MsgType type, MdsId participant,
-                                     std::uint64_t txn_id,
-                                     const std::string& path) {
-  TxnFinishReq req;
-  req.path = path;
-  req.txn_id = txn_id;
-  auto resp = Call(participant, EncodeTxnFinish(type, req));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
-}
-
-Result<std::vector<TxnPendingOp>> PrototypeCluster::TxnListAt(MdsId server) {
-  auto resp = Call(server, EncodeHeader(MsgType::kTxnList));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  auto list = DecodeTxnListResp(in);
-  if (!list.ok()) return list.status();
-  std::vector<TxnPendingOp> ops;
-  ops.reserve(list->entries.size());
-  for (auto& e : list->entries) {
-    TxnPendingOp op;
-    op.txn_id = e.txn_id;
-    op.coordinator = e.coordinator;
-    op.subop = e.subop;
-    op.path = std::move(e.path);
-    ops.push_back(std::move(op));
-  }
-  return ops;
-}
-
-Result<TxnResolution> PrototypeCluster::TxnQueryDecisionAt(
-    MdsId coordinator, std::uint64_t txn_id) {
-  auto resp = Call(coordinator, EncodeTxnResolve(txn_id));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  auto decoded = DecodeTxnResolveResp(in);
-  if (!decoded.ok()) return decoded.status();
-  switch (decoded->state) {
-    case TxnDecisionState::kPending: return TxnResolution::kPending;
-    case TxnDecisionState::kCommitted: return TxnResolution::kCommitted;
-    case TxnDecisionState::kAborted: return TxnResolution::kAborted;
-    case TxnDecisionState::kUnknown: break;
-  }
-  return TxnResolution::kUnknown;
+TxnDriver PrototypeCluster::NewTxnDriver() {
+  return TxnDriver(
+      [this](MdsId id, const std::vector<std::uint8_t>& frame) {
+        MutexLock lock(&mu_);
+        return Call(id, frame);
+      },
+      [this](MdsId id) {
+        MutexLock lock(&mu_);
+        // The orchestrator's own bookkeeping is the truth here: a crashed
+        // or removed server has a stopped (or absent) MdsServer object. A
+        // server that is up but slow keeps its object running, so a
+        // transient stall never masquerades as death and resolution stays
+        // in doubt instead of presuming abort too eagerly.
+        return id >= servers_.size() || !servers_[id] ||
+               !servers_[id]->running();
+      },
+      [this](TxnPhase phase, MdsId target) {
+        MutexLock lock(&mu_);
+        return TxnStepLocked(phase, target);
+      });
 }
 
 bool PrototypeCluster::TxnStepLocked(TxnPhase phase, MdsId target) {
@@ -1002,11 +757,7 @@ Status PrototypeCluster::Rename(const std::string& src,
     txn_id = NextTxnIdLocked();
     txn_step_seq_.fill(0);
   }
-  TxnBridge bridge(this);
-  TxnDriver driver(&bridge, [&bridge](TxnPhase phase, MdsId target) {
-    return bridge.AfterStep(phase, target);
-  });
-  return driver.Rename(txn_id, src, src_home, dst, dst_home);
+  return NewTxnDriver().Rename(txn_id, src, src_home, dst, dst_home);
 }
 
 Status PrototypeCluster::CreateExclusive(const std::string& path,
@@ -1028,11 +779,7 @@ Status PrototypeCluster::CreateExclusive(const std::string& path,
     txn_id = NextTxnIdLocked();
     txn_step_seq_.fill(0);
   }
-  TxnBridge bridge(this);
-  TxnDriver driver(&bridge, [&bridge](TxnPhase phase, MdsId target) {
-    return bridge.AfterStep(phase, target);
-  });
-  return driver.CreateExclusive(txn_id, path, home, metadata);
+  return NewTxnDriver().CreateExclusive(txn_id, path, home, metadata);
 }
 
 Result<std::uint64_t> PrototypeCluster::ResolveInDoubt(MdsId id) {
@@ -1042,9 +789,7 @@ Result<std::uint64_t> PrototypeCluster::ResolveInDoubt(MdsId id) {
       return Status::Unavailable("server is down");
     }
   }
-  TxnBridge bridge(this);
-  TxnDriver driver(&bridge);  // resolution is not a crash-point surface
-  return driver.ResolveInDoubt(id);
+  return NewTxnDriver().ResolveInDoubt(id);
 }
 
 Result<LeaseGrantResp> PrototypeCluster::RequestLease(
@@ -1053,29 +798,18 @@ Result<LeaseGrantResp> PrototypeCluster::RequestLease(
   if (home >= servers_.size() || !servers_[home]) {
     return Status::Unavailable("server is down");
   }
-  if (PeerVersion(home) < 4) {
-    return Status::InvalidArgument("peer predates the lease protocol (v4)");
-  }
-  auto resp = Call(home, EncodePathRequest(MsgType::kLeaseGrant, path));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeLeaseGrantResp(in);
+  return DecodeReply(
+      Call(home, EncodePathRequest(MsgType::kLeaseGrant, path)),
+      DecodeLeaseGrantResp);
 }
 
 Status PrototypeCluster::InvalidatePath(const std::string& path) {
   MutexLock lock(&mu_);
   const auto req = EncodePathRequest(MsgType::kInvalidate, path);
   for (const MdsId id : AliveServersLocked()) {
-    if (PeerVersion(id) < 4) continue;  // pre-v4 peer grants no leases
     auto resp = Call(id, req);
     if (!resp.ok()) continue;  // unreachable: its leases die by TTL
-    ByteReader in(*resp);
-    auto env = OpenEnvelope(in);
-    if (!env.ok()) return env.status();
-    if (!env->status.ok()) return env->status;
+    if (Status s = StatusReply(resp); !s.ok()) return s;
   }
   return Status::Ok();
 }
@@ -1147,9 +881,9 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::AddServer() {
   FlagGuard guard(in_failover_);  // holds references into groups_
   const std::uint64_t frames_before = TotalFramesInLocked();
   // Recycle the lowest freed id (a removed or failed-over slot) before
-  // growing the vector. StartServer resets the slot's health history and
-  // protocol-version verdict, so the new incarnation starts clean instead
-  // of inheriting its predecessor's kDead state.
+  // growing the vector. StartServer resets the slot's health history, so
+  // the new incarnation starts clean instead of inheriting its
+  // predecessor's kDead state.
   MdsId nid = static_cast<MdsId>(servers_.size());
   for (MdsId id = 0; id < servers_.size(); ++id) {
     if (!servers_[id] && !group_of_.contains(id)) {
@@ -1266,13 +1000,8 @@ Status PrototypeCluster::JoinTopologyLocked(MdsId nid) {
       while (owners.size() > target_load) {
         const MdsId owner = owners.back();
         owners.pop_back();
-        auto resp = Call(m, EncodeReplicaFetch(owner));
-        if (!resp.ok()) return resp.status();
-        ByteReader in(*resp);
-        auto env = OpenEnvelope(in);
-        if (!env.ok()) return env.status();
-        if (!env->has_payload) return env->status;
-        auto filter = DecompressFilter(in);
+        auto filter =
+            DecodeReply(Call(m, EncodeReplicaFetch(owner)), DecompressFilter);
         if (!filter.ok()) return filter.status();
         if (Status s = InstallReplica(nid, owner, *filter); !s.ok()) return s;
         // Install succeeded; the old copy is now merely redundant.
@@ -1331,13 +1060,8 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
 
   // Recovery handshake before the peer takes any traffic: what did its
   // durable engine bring back? (Without --data-dir: durable=false, zeros.)
-  auto resp = Call(id, EncodeHeader(MsgType::kRecoveryInfo));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  auto info = DecodeRecoveryInfoResp(in);
+  auto info = DecodeReply(Call(id, EncodeHeader(MsgType::kRecoveryInfo)),
+                          DecodeRecoveryInfoResp);
   if (!info.ok()) return info.status();
 
   // The rejoining server recovered its journaled view (checkpoint v2 /
@@ -1412,13 +1136,8 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
     g.members.erase(std::find(g.members.begin(), g.members.end(), id));
     group_of_.erase(id);
     for (const MdsId owner : held) {
-      auto resp = Call(id, EncodeReplicaFetch(owner));
-      if (!resp.ok()) return resp.status();
-      ByteReader in(*resp);
-      auto env = OpenEnvelope(in);
-      if (!env.ok()) return env.status();
-      if (!env->has_payload) return env->status;
-      auto filter = DecompressFilter(in);
+      auto filter =
+          DecodeReply(Call(id, EncodeReplicaFetch(owner)), DecompressFilter);
       if (!filter.ok()) return filter.status();
       if (!g.members.empty()) {
         const MdsId target = LightestMember(g);
@@ -1456,13 +1175,8 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   }
 
   // Drain the files to the survivors.
-  auto resp = Call(id, EncodeHeader(MsgType::kExportFiles));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  auto files = DecodeFileListResp(in);
+  auto files = DecodeReply(Call(id, EncodeHeader(MsgType::kExportFiles)),
+                           DecodeFileListResp);
   if (!files.ok()) return files.status();
   const auto survivors = AliveServersLocked();
   std::vector<MdsId> targets;
@@ -1484,12 +1198,9 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
     auto resps = CallBatch(target, reqs);
     if (!resps.ok()) return resps.status();
     for (std::size_t i = 0; i < resps->size(); ++i) {
-      ByteReader rin((*resps)[i]);
-      auto renv = OpenEnvelope(rin);
-      if (!renv.ok()) return renv.status();
-      if (!renv->status.ok()) {
+      if (const Status s = StatusReply((*resps)[i]); !s.ok()) {
         return Status::Internal("drain re-insert of " + *drain_paths[target][i] +
-                                " failed: " + renv->status.ToString());
+                                " failed: " + s.ToString());
       }
     }
   }
@@ -1501,10 +1212,9 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   servers_[id]->Stop();
   servers_[id].reset();
   // The departed id may be recycled by a later AddServer: its health
-  // history and protocol-version verdict must die with this incarnation,
-  // or the re-added server would start life marked dead.
+  // history must die with this incarnation, or the re-added server would
+  // start life marked dead.
   health_.Forget(id);
-  peer_version_.erase(id);
   if (Status s = PublishAllLocked(); !s.ok()) return s;
   PushMembershipLocked(ReconfigReason::kLeave);
 
@@ -1647,8 +1357,8 @@ Status PrototypeCluster::MigrateReplica(MdsId owner, MdsId to) {
   }
 
   // Phase 2 — flip: rewrite the holder map and push the bumped epoch to
-  // the group (journaled on every durable member). The commit point: from
-  // here recovery completes the migration instead of undoing it.
+  // every live server (journaled on each durable one). The commit point:
+  // from here recovery completes the migration instead of undoing it.
   assignment->second = to;
   PushMembershipLocked(ReconfigReason::kMigrate);
   if (injector_ != nullptr &&
@@ -1689,12 +1399,11 @@ Result<AdaptiveDecision> PrototypeCluster::AdaptivityTick(
     signals.lookups_total = metrics_.levels.total();
     signals.latency = MeasureComponents(metrics_);
     for (const MdsId id : alive) {
-      auto resp = Call(id, EncodeHeader(MsgType::kStatsSnapshot));
-      if (!resp.ok()) continue;  // a slow peer skips one sample
-      ByteReader in(*resp);
-      auto env = OpenEnvelope(in);
-      if (!env.ok() || !env->has_payload) continue;
-      if (auto snap = DecodeStatsSnapshotResp(in); snap.ok()) {
+      // A slow peer skips one sample.
+      if (auto snap =
+              DecodeReply(Call(id, EncodeHeader(MsgType::kStatsSnapshot)),
+                          DecodeStatsSnapshotResp);
+          snap.ok()) {
         signals.lookup_state_bytes += snap->lookup_state_bytes;
       }
     }
@@ -1768,13 +1477,8 @@ std::vector<std::uint16_t> PrototypeCluster::ServerPorts() const {
 
 Result<StatsSnapshotResp> PrototypeCluster::FetchStats(MdsId id) {
   MutexLock lock(&mu_);
-  auto resp = Call(id, EncodeHeader(MsgType::kStatsSnapshot));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeStatsSnapshotResp(in);
+  return DecodeReply(Call(id, EncodeHeader(MsgType::kStatsSnapshot)),
+                     DecodeStatsSnapshotResp);
 }
 
 std::uint64_t PrototypeCluster::TotalFramesIn() const {

@@ -35,7 +35,7 @@
 #include "rpc/protocol.hpp"
 #include "rpc/server.hpp"
 #include "rpc/socket.hpp"
-#include "txn/txn_driver.hpp"
+#include "rpc/txn_driver.hpp"
 
 namespace ghba {
 
@@ -96,21 +96,15 @@ class PrototypeCluster {
 
   /// Create many files, each on a uniformly random server (same placement
   /// distribution as Insert). Per-server traffic rides kBatch frames —
-  /// many inserts, one CRC, one round-trip — against v2 peers; v1 peers
-  /// transparently get sequential Calls. First failure aborts.
+  /// many inserts, one CRC, one round-trip. First failure aborts.
   Status InsertBatch(
       const std::vector<std::pair<std::string, FileMetadata>>& files);
-
-  /// Protocol version `id` speaks, probed with kVersion on first use and
-  /// cached until the server restarts. A peer that rejects the probe as an
-  /// unknown message type is recorded as v1.
-  Result<std::uint32_t> ProtocolVersionOf(MdsId id);
 
   /// Remove a file (the lookup protocol locates it first).
   Status Unlink(const std::string& path);
 
-  /// Atomically rename `src` to `dst` via WAL-journaled two-phase commit
-  /// (v5). The lookup protocol locates src; src's home coordinates and
+  /// Atomically rename `src` to `dst` via WAL-journaled two-phase commit.
+  /// The lookup protocol locates src; src's home coordinates and
   /// journals every transition. dst's home comes from a deterministic hash
   /// placement over the live servers, so a rename usually crosses MDSs.
   /// Ok means the commit decision is durable on the coordinator: a crash
@@ -182,8 +176,11 @@ class PrototypeCluster {
   /// starts:
   ///   1. prepare — snapshot the owner's current filter, install it
   ///      (journaled) on `to`; the old holder still routes.
-  ///   2. flip — rewrite the holder map and push a bumped routing epoch to
-  ///      the group (journaled on every member). This is the commit point.
+  ///   2. flip — rewrite the holder map and push a bumped routing epoch
+  ///      to every live server, not just the group (PushMembershipLocked:
+  ///      one kMembershipUpdate each, journaled by every durable server).
+  ///      This is the commit point. On N servers a migration therefore
+  ///      costs N + 3 messages and N + 2 WAL appends.
   ///   3. retire — the old holder drops (journals) its copy.
   /// Between 1 and 3 both holders answer probes for the owner — the
   /// dual-epoch window: lookups racing the flip probe a superset of
@@ -300,15 +297,9 @@ class PrototypeCluster {
   Status OneWay(MdsId id, const std::vector<std::uint8_t>& frame)
       GHBA_REQUIRES(mu_);
 
-  /// Locked body of ProtocolVersionOf. Transport failures are not cached
-  /// (the next call re-probes); a kCorruption reject is a durable v1
-  /// verdict and is.
-  std::uint32_t PeerVersion(MdsId id) GHBA_REQUIRES(mu_);
   /// Issue `reqs` against one server and return the responses in request
-  /// order. Against a v2 peer, requests pack into kBatch frames (at most
-  /// kMaxBatchFrames sub-frames each, one CRC per frame); against a v1
-  /// peer — or for a single request — this degenerates to plain Calls.
-  /// Every req must be a BatchableType request.
+  /// order, packed into kBatch frames (at most kMaxBatchFrames sub-frames
+  /// each, one CRC per frame). Every req must be a BatchableType request.
   Result<std::vector<std::vector<std::uint8_t>>> CallBatch(
       MdsId id, const std::vector<std::vector<std::uint8_t>>& reqs)
       GHBA_REQUIRES(mu_);
@@ -354,29 +345,12 @@ class PrototypeCluster {
   Status CrashMigrationLocked(MdsId victim, const char* phase)
       GHBA_REQUIRES(mu_);
 
-  /// TxnDriver's transport over Call() (defined in the .cpp). Each method
-  /// takes mu_ itself, so the driver runs unlocked between messages —
-  /// concurrent cluster traffic interleaves with a transaction exactly as
-  /// it would against real daemons.
-  struct TxnBridge;
-
-  // Locked bodies of the TxnBridge — one per v5 protocol message, all
-  // plain Call() round-trips with the envelope idiom.
-  Status TxnBeginAt(MdsId coordinator, std::uint64_t txn_id,
-                    const std::vector<MdsId>& participants)
-      GHBA_REQUIRES(mu_);
-  Result<std::optional<FileMetadata>> TxnPrepareAt(MdsId participant,
-                                                   const TxnPendingOp& op)
-      GHBA_REQUIRES(mu_);
-  Status TxnDecideAt(MdsId coordinator, std::uint64_t txn_id, bool commit)
-      GHBA_REQUIRES(mu_);
-  Status TxnFinishAt(MsgType type, MdsId participant, std::uint64_t txn_id,
-                     const std::string& path) GHBA_REQUIRES(mu_);
-  Result<std::vector<TxnPendingOp>> TxnListAt(MdsId server)
-      GHBA_REQUIRES(mu_);
-  Result<TxnResolution> TxnQueryDecisionAt(MdsId coordinator,
-                                           std::uint64_t txn_id)
-      GHBA_REQUIRES(mu_);
+  /// A TxnDriver over Call(), with TxnStepLocked as its after-step hook
+  /// (resolution sends no hooked messages). Each of its functions takes
+  /// mu_ for exactly one exchange or check, so a drive holds no lock
+  /// between messages — lookups, inserts and even fail-overs interleave
+  /// with an in-flight transaction, the same concurrency real daemons see.
+  TxnDriver NewTxnDriver();
   /// After-step hook body: consume txn.<phase>[.<k>] (crash the server
   /// that just processed message k of that phase, bookkeeping kept) and
   /// txnhalt.<phase>[.<k>] (halt the driver — the client dies at that
@@ -440,9 +414,6 @@ class PrototypeCluster {
   std::unordered_map<MdsId, TcpConnection> conns_ GHBA_GUARDED_BY(mu_);
   std::vector<GroupInfo> groups_ GHBA_GUARDED_BY(mu_);  // G-HBA only
   std::unordered_map<MdsId, std::size_t> group_of_ GHBA_GUARDED_BY(mu_);
-  /// kVersion probe results, one per live incarnation (StartServer clears
-  /// its entry so a restarted peer is re-probed).
-  std::unordered_map<MdsId, std::uint32_t> peer_version_ GHBA_GUARDED_BY(mu_);
   /// Routing epoch of the last membership push. Strictly increasing;
   /// Start/RestartServer fold in the epochs durable servers recovered, so
   /// a new orchestrator incarnation never pushes an epoch the survivors

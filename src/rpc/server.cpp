@@ -1248,8 +1248,6 @@ std::vector<std::uint8_t> MdsServer::Handle(
     }
     case MsgType::kPing:
       return EncodeStatusResp(Status::Ok());
-    case MsgType::kVersion:
-      return EncodeVersionResp(kProtocolVersion);
     case MsgType::kStatsSnapshot: {
       StatsSnapshotResp snap;
       snap.mds_id = id_;

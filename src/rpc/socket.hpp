@@ -19,6 +19,7 @@
 
 #include "common/status.hpp"
 #include "rpc/fault_injector.hpp"
+#include "rpc/protocol.hpp"
 
 namespace ghba {
 
@@ -26,9 +27,11 @@ namespace ghba {
 /// frame boundaries so a desynchronized stream (a truncated frame that
 /// swallowed the next frame's header) is detected immediately; the CRC-32
 /// covers the payload so in-flight corruption surfaces as kCorruption at
-/// the framing layer instead of reaching the message decoders.
+/// the framing layer instead of reaching the message decoders. The second
+/// magic byte carries the protocol revision (0x4D at v5), so a peer from
+/// another build fails that same check on its first frame.
 inline constexpr std::uint8_t kFrameMagic0 = 0xF5;
-inline constexpr std::uint8_t kFrameMagic1 = 0x4D;
+inline constexpr std::uint8_t kFrameMagic1 = 0x48 + kProtocolVersion;
 inline constexpr std::size_t kFrameHeaderBytes = 10;
 
 /// Absolute time bound for a socket operation. Default-constructed

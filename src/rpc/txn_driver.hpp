@@ -1,13 +1,13 @@
-// Client-side two-phase-commit driver over an abstract transport.
+// Client-side two-phase-commit driver over a caller-supplied call function.
 //
 // The driver owns the message choreography of a namespace transaction —
-// who gets begun, prepared, decided, committed, in what order — while the
-// transport owns how a message reaches a server. Two transports exist:
-// PrototypeCluster (loopback sockets, in-process servers) and the txn_chaos
-// tool (DaemonClient connections to real mds_daemon processes it can
-// kill -9 between phases). Both reuse this file verbatim, which is the
-// point: the protocol proven crash-safe in-process is byte-for-byte the one
-// the daemons speak.
+// who gets begun, prepared, decided, committed, in what order — and the
+// kTxn* codecs; the caller supplies only how one request frame reaches a
+// server and comes back. PrototypeCluster passes its retrying Call() over
+// loopback sockets to in-process servers; the txn_chaos tool passes a
+// DaemonClient exchange with real mds_daemon processes it can kill -9
+// between phases. The protocol proven crash-safe in-process is therefore
+// byte-for-byte the one the daemons speak.
 //
 // Protocol (presumed abort, client-driven — servers never dial out):
 //
@@ -34,14 +34,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/lookup_outcome.hpp"
 #include "common/status.hpp"
 #include "mds/metadata.hpp"
-#include "storage/txn_state.hpp"
+#include "rpc/protocol.hpp"
 
 namespace ghba {
 
@@ -66,82 +65,40 @@ constexpr const char* TxnPhaseName(TxnPhase phase) {
   return "unknown";
 }
 
-/// Coordinator verdicts as a resolver sees them (the wire's
-/// TxnDecisionState mirrors this; the txn library stays below the rpc
-/// layer so it cannot use the wire enum directly).
-enum class TxnResolution : std::uint8_t {
-  kUnknown = 0,   ///< no table entry: presumed abort
-  kPending = 1,   ///< begun, undecided: resolver force-aborts
-  kCommitted = 2,
-  kAborted = 3,
-};
-
-/// How a transaction message reaches a server. Implementations return
-/// kUnavailable-style errors for dead/unreachable targets; the driver
-/// translates those into abort or in-doubt per phase.
-class TxnTransport {
- public:
-  virtual ~TxnTransport() = default;
-
-  virtual Status TxnBegin(MdsId coordinator, std::uint64_t txn_id,
-                          const std::vector<MdsId>& participants) = 0;
-  /// Returns the prepared file's prior metadata for kRemove sub-ops
-  /// (nullopt for kInsert). A non-OK status is a NO vote or a transport
-  /// failure; either way the driver aborts.
-  virtual Result<std::optional<FileMetadata>> TxnPrepare(
-      MdsId participant, const TxnPendingOp& op) = 0;
-  virtual Status TxnDecide(MdsId coordinator, std::uint64_t txn_id,
-                           bool commit) = 0;
-  virtual Status TxnCommit(MdsId participant, std::uint64_t txn_id,
-                           const std::string& path) = 0;
-  virtual Status TxnAbort(MdsId participant, std::uint64_t txn_id,
-                          const std::string& path) = 0;
-
-  // --- recovery resolution ---
-  /// Every in-doubt prepare on `server` (its kTxnList).
-  virtual Result<std::vector<TxnPendingOp>> TxnList(MdsId server) = 0;
-  /// Ask `coordinator` for its verdict on `txn_id` (its kTxnResolve).
-  virtual Result<TxnResolution> TxnQueryDecision(MdsId coordinator,
-                                                 std::uint64_t txn_id) = 0;
-  /// Is `server` confirmed dead (crashed / removed), as opposed to merely
-  /// unreachable right now? Resolution only presumes abort on confirmed
-  /// death; a transient partition leaves the op in doubt.
-  virtual bool TxnServerConfirmedDead(MdsId server) = 0;
-};
-
-/// Outcome of one Rename/CreateExclusive drive, beyond the Status: which
-/// closing messages could not be delivered (they stay in doubt on their
-/// participants until ResolveInDoubt runs).
-struct TxnDriveStats {
-  std::uint32_t messages = 0;        ///< RPCs issued by this drive
-  std::uint32_t commits_pending = 0; ///< acked commit left undelivered
-  bool halted = false;               ///< hook stopped the driver mid-flight
-};
-
 class TxnDriver {
  public:
+  /// One request/response exchange with server `id`. Unreachable or dead
+  /// targets answer with a transport error; the driver translates it into
+  /// abort or in-doubt per phase.
+  using CallFn = std::function<Result<std::vector<std::uint8_t>>(
+      MdsId id, const std::vector<std::uint8_t>& frame)>;
+  /// Is `id` confirmed dead (crashed / removed), as opposed to merely
+  /// unreachable right now? Resolution only presumes abort on confirmed
+  /// death; a transient partition leaves the op in doubt.
+  using DeadFn = std::function<bool(MdsId id)>;
   /// `after_step` may be null (no instrumentation). It runs after every
   /// successful message; returning false halts the drive at that boundary.
   using StepHook = std::function<bool(TxnPhase, MdsId target)>;
 
-  explicit TxnDriver(TxnTransport* transport, StepHook after_step = nullptr)
-      : transport_(transport), after_step_(std::move(after_step)) {}
+  TxnDriver(CallFn call, DeadFn confirmed_dead, StepHook after_step = nullptr)
+      : call_(std::move(call)),
+        confirmed_dead_(std::move(confirmed_dead)),
+        after_step_(std::move(after_step)) {}
 
   /// Atomically move `src` (homed on `src_home`) to `dst` (homed on
   /// `dst_home`), coordinated by `src_home`. Returns Ok once the commit
   /// decision is durable on the coordinator — even if a closing commit
-  /// could not be delivered (see `stats->commits_pending`). NotFound when
-  /// src is absent, AlreadyExists when dst is taken; both abort cleanly.
+  /// could not be delivered (that op stays in doubt until ResolveInDoubt).
+  /// NotFound when src is absent, AlreadyExists when dst is taken; both
+  /// abort cleanly.
   Status Rename(std::uint64_t txn_id, const std::string& src, MdsId src_home,
-                const std::string& dst, MdsId dst_home,
-                TxnDriveStats* stats = nullptr);
+                const std::string& dst, MdsId dst_home);
 
   /// Atomically create `path` on `home` (also the coordinator) with
   /// `metadata`, failing with AlreadyExists if present. Single-participant
   /// 2PC: same journal trail, same crash matrix, one server.
   Status CreateExclusive(std::uint64_t txn_id, const std::string& path,
-                         MdsId home, const FileMetadata& metadata,
-                         TxnDriveStats* stats = nullptr);
+                         MdsId home, const FileMetadata& metadata);
 
   /// Resolve every in-doubt prepare on `server` by consulting each op's
   /// coordinator: committed rolls forward, aborted/unknown rolls back, an
@@ -152,15 +109,27 @@ class TxnDriver {
 
  private:
   /// Run the hook; false means halt.
-  bool Step(TxnPhase phase, MdsId target, TxnDriveStats* stats);
+  bool Step(TxnPhase phase, MdsId target);
+
+  // One method per kTxn* message: encode, call, decode.
+  Status Begin(MdsId coordinator, std::uint64_t txn_id,
+               const std::vector<MdsId>& participants);
+  /// A non-OK result is a NO vote or a transport failure; either way the
+  /// drive aborts.
+  Result<TxnPrepareResp> Prepare(MdsId participant, const TxnPrepareReq& req);
+  Status Decide(MdsId coordinator, std::uint64_t txn_id, bool commit);
+  /// kTxnCommit or kTxnAbort for one prepared op.
+  Status Finish(MsgType type, MdsId participant, std::uint64_t txn_id,
+                const std::string& path);
 
   /// Decide(abort) + best-effort aborts to every prepared participant,
   /// then return `cause` (the original failure).
   Status AbortAll(std::uint64_t txn_id, MdsId coordinator,
                   const std::vector<std::pair<MdsId, std::string>>& prepared,
-                  Status cause, TxnDriveStats* stats);
+                  Status cause);
 
-  TxnTransport* transport_;
+  CallFn call_;
+  DeadFn confirmed_dead_;
   StepHook after_step_;
 };
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "rpc/fault_injector.hpp"
@@ -74,12 +75,22 @@ TEST(FrameAssemblerTest, ManyBufferedFramesDrainInOneAppend) {
 }
 
 TEST(FrameAssemblerTest, BadMagicIsCorrupt) {
-  FrameAssembler a;
-  auto wire = Wire(Payload(8, 1));
-  wire[0] ^= 0xFF;
-  a.Append(wire.data(), wire.size());
-  std::vector<std::uint8_t> got;
-  EXPECT_EQ(a.Pop(got), FrameAssembler::Next::kCorrupt);
+  // A flipped first byte, and a second byte carrying the kProtocolVersion
+  // of a build one revision behind or ahead: valid CRC, still rejected.
+  const std::pair<std::size_t, std::uint8_t> kBadMagic[] = {
+      {0, static_cast<std::uint8_t>(kFrameMagic0 ^ 0xFF)},
+      {1, static_cast<std::uint8_t>(0x48 + kProtocolVersion - 1)},
+      {1, static_cast<std::uint8_t>(0x48 + kProtocolVersion + 1)},
+  };
+  for (const auto& [at, byte] : kBadMagic) {
+    FrameAssembler a;
+    auto wire = Wire(Payload(8, 1));
+    wire[at] = byte;
+    a.Append(wire.data(), wire.size());
+    std::vector<std::uint8_t> got;
+    EXPECT_EQ(a.Pop(got), FrameAssembler::Next::kCorrupt)
+        << at << "=" << +byte;
+  }
 }
 
 TEST(FrameAssemblerTest, BadCrcIsCorrupt) {

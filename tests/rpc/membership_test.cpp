@@ -135,14 +135,11 @@ TEST(MembershipTest, RecycledIdStartsWithCleanHealthState) {
   EXPECT_EQ(cluster.health().state(victim), PeerState::kDead);
 
   // ...but the next AddServer recycles the freed slot and must not inherit
-  // the corpse's verdict, cached connection, or protocol version.
+  // the corpse's verdict or cached connection.
   const auto added = cluster.AddServer();
   ASSERT_TRUE(added.ok());
   EXPECT_EQ(added->id, victim) << "lowest free id is recycled";
   EXPECT_EQ(cluster.health().state(victim), PeerState::kHealthy);
-  const auto version = cluster.ProtocolVersionOf(victim);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, kProtocolVersion);
 
   // The recycled server serves traffic immediately.
   FileMetadata md;

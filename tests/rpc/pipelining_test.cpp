@@ -13,7 +13,7 @@
 //     another connection's traffic (regression: the old single-threaded
 //     loop slept in the event thread, stalling every connection);
 //   * kBatch packs many sub-requests into one frame/CRC and the responses
-//     come back slot-for-slot; kVersion negotiates the protocol revision.
+//     come back slot-for-slot.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -292,19 +292,20 @@ TEST_F(PipeliningTest, BatchCarryingNonBatchableTypeIsRejectedWhole) {
   EXPECT_TRUE(conn.RecvFrame(Deadline::After(5000ms)).ok());
 }
 
-TEST_F(PipeliningTest, VersionHandshakeAnswersProtocolVersion) {
+TEST_F(PipeliningTest, RetiredVersionProbeIsRejectedInItsSlot) {
+  // Type 19 (the retired version probe) is an unknown type now: it gets a
+  // CORRUPTION answer in its own pipeline slot, and the connection keeps
+  // serving the requests behind it.
   Boot(TestConfig());
   auto conn = Connect();
-  ASSERT_TRUE(conn.SendFrame(EncodeHeader(MsgType::kVersion)).ok());
+  ByteWriter probe;
+  probe.PutU16(19);
+  ASSERT_TRUE(conn.SendFrame(probe.Take()).ok());
+  ASSERT_TRUE(conn.SendFrame(EncodeHeader(MsgType::kPing)).ok());
   auto resp = conn.RecvFrame(Deadline::After(5000ms));
   ASSERT_TRUE(resp.ok());
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  ASSERT_TRUE(env.ok());
-  ASSERT_TRUE(env->has_payload);
-  auto version = DecodeVersionResp(in);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, kProtocolVersion);
+  EXPECT_EQ(StatusReply(resp).code(), StatusCode::kCorruption);
+  EXPECT_TRUE(StatusReply(conn.RecvFrame(Deadline::After(5000ms))).ok());
 }
 
 }  // namespace

@@ -521,15 +521,55 @@ TEST(ProtocolBatchTest, MangledOuterEnvelopeRejectsTheBatch) {
   EXPECT_EQ(env.status().code(), StatusCode::kCorruption);
 }
 
-TEST(ProtocolVersionTest, VersionRespRoundTrips) {
-  const auto frame = EncodeVersionResp(kProtocolVersion);
-  ByteReader in(frame);
-  auto env = OpenEnvelope(in);
-  ASSERT_TRUE(env.ok());
-  ASSERT_TRUE(env->has_payload);
-  const auto version = DecodeVersionResp(in);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, kProtocolVersion);
+TEST(ProtocolVersionTest, RetiredVersionTypeIsCorruption) {
+  // Type 19 was the version probe. Peers no longer negotiate (the revision
+  // rides in the frame magic), so the tag decodes like any unknown one.
+  ByteWriter w;
+  w.PutU16(19);
+  ByteReader in(w.data());
+  const auto type = DecodeType(in);
+  ASSERT_FALSE(type.ok());
+  EXPECT_EQ(type.status().code(), StatusCode::kCorruption);
+  // Its neighbours are live message types.
+  for (const std::uint16_t live : {18, 20}) {
+    ByteWriter n;
+    n.PutU16(live);
+    ByteReader nin(n.data());
+    EXPECT_TRUE(DecodeType(nin).ok()) << live;
+  }
+}
+
+TEST(ProtocolReplyTest, StatusReplyPassesEveryFailureThrough) {
+  using Reply = Result<std::vector<std::uint8_t>>;
+  EXPECT_EQ(StatusReply(Reply(Status::TimedOut("slow"))).code(),
+            StatusCode::kTimedOut);
+  EXPECT_EQ(StatusReply(Reply(std::vector<std::uint8_t>{0x2A})).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(StatusReply(Reply(EncodeStatusResp(Status::NotFound("x")))).code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(StatusReply(Reply(EncodeStatusResp(Status::Ok()))).ok());
+  EXPECT_TRUE(StatusReply(Reply(EncodeBoolResp(true))).ok());
+}
+
+TEST(ProtocolReplyTest, DecodeReplyDecodesOrSurfacesTheError) {
+  using Reply = Result<std::vector<std::uint8_t>>;
+  const auto yes = DecodeReply(Reply(EncodeBoolResp(true)), DecodeBoolResp);
+  ASSERT_TRUE(yes.ok());
+  EXPECT_TRUE(*yes);
+  EXPECT_EQ(DecodeReply(Reply(Status::Unavailable("down")), DecodeBoolResp)
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(DecodeReply(Reply(EncodeStatusResp(Status::NotFound("x"))),
+                        DecodeBoolResp)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  // An OK status where a payload belongs is the wrong reply shape.
+  EXPECT_EQ(DecodeReply(Reply(EncodeStatusResp(Status::Ok())), DecodeBoolResp)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
 }
 
 TEST(ProtocolObservabilityTest, StatsSnapshotRoundTripsEveryField) {

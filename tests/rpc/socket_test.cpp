@@ -1,8 +1,11 @@
 #include "rpc/socket.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <thread>
+
+#include "rpc/wire_buffer.hpp"
 
 namespace ghba {
 namespace {
@@ -253,6 +256,28 @@ TEST(SocketFaultTest, CorruptedFrameDetectedByChecksum) {
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
   EXPECT_GE(injector.counters().corruptions, 1u);
+}
+
+TEST(SocketTest, OtherProtocolRevisionMagicIsCorrupt) {
+  // A peer from another build frames correctly (length, CRC) but carries
+  // its own kProtocolVersion in the magic: its first frame is rejected.
+  auto listener = TcpListener::Bind();
+  ASSERT_TRUE(listener.ok());
+  auto client = TcpConnection::Connect(listener->port());
+  ASSERT_TRUE(client.ok());
+  auto server = listener->Accept();
+  ASSERT_TRUE(server.ok());
+  std::vector<std::uint8_t> wire;
+  ASSERT_TRUE(BuildWireFrame(FaultInjector::FramePlan{},
+                             std::vector<std::uint8_t>(16, 0x5A), wire));
+  ASSERT_EQ(wire[1], kFrameMagic1);
+  wire[1] = static_cast<std::uint8_t>(0x48 + kProtocolVersion + 1);
+  ASSERT_EQ(::send(client->fd(), wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  const auto frame =
+      server->RecvFrame(Deadline::After(std::chrono::seconds(2)));
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
 }
 
 TEST(FdHandleTest, MoveSemantics) {

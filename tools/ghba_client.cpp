@@ -7,11 +7,10 @@
 //   $ ghba_client <port> invalidate </path>
 //   $ ghba_client <port> unlink </path>
 //   $ ghba_client <port> stats
-//   $ ghba_client <port> version
 //   $ ghba_client <port> shutdown
 //
 // `verify` resolves the routing, not just existence: it prints the id of
-// the server that answered for the path (from the v4 lease grant) and the
+// the server that answered for the path (from its lease grant) and the
 // replica owners whose filters match, e.g.
 //
 //   present resolved=mds2 lease_ttl_ms=2000 replicas=[2] l1=mds2
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: %s <port> <ping|insert|verify|lease|invalidate|"
-                 "unlink|stats|version|shutdown> [args]\n",
+                 "unlink|stats|shutdown> [args]\n",
                  argv[0]);
     return 2;
   }
@@ -130,12 +129,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats->frames_out),
                 static_cast<unsigned long long>(stats->files),
                 static_cast<unsigned long long>(stats->replicas));
-    return 0;
-  }
-  if (cmd == "version") {
-    const auto v = client->Version();
-    if (!v.ok()) return 1;
-    std::printf("v%u\n", *v);
     return 0;
   }
   if (cmd == "shutdown") {

@@ -18,21 +18,24 @@
 // stage. The namespace layout mirrors the orchestrator: a path's home is
 // Fnv1a64(path) % N, so the tool and the daemons agree on placement
 // without any lookup protocol.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "client/daemon_client.hpp"
 #include "client/daemon_harness.hpp"
 #include "hash/fnv.hpp"
+#include "rpc/txn_driver.hpp"
 
 namespace {
 
 using ghba::DaemonClient;
 using ghba::DaemonProcess;
-using ghba::DaemonTxnTransport;
 using ghba::FileMetadata;
 using ghba::MdsId;
 using ghba::Status;
@@ -52,7 +55,6 @@ void Check(bool ok, const std::string& what) {
 
 struct Fleet {
   std::vector<DaemonProcess> daemons;
-  DaemonTxnTransport transport{2000};
 
   DaemonProcess& at(MdsId id) { return daemons[id]; }
 
@@ -65,7 +67,6 @@ struct Fleet {
       opt.data_dir = data_dir;
       daemons.emplace_back(std::move(opt));
       if (Status s = daemons.back().Start(); !s.ok()) return s;
-      transport.SetPort(static_cast<MdsId>(id), daemons.back().port());
     }
     return Status::Ok();
   }
@@ -74,22 +75,25 @@ struct Fleet {
     return static_cast<MdsId>(ghba::Fnv1a64(path) % daemons.size());
   }
 
-  /// Kill -9 `id` and tell the transport (confirmed death, not a guess).
-  void Kill(MdsId id) {
-    at(id).Kill9();
-    transport.MarkDead(id);
-  }
-
-  /// Restart `id` on its data dir; rebind the transport to the new port.
-  Status Restart(MdsId id) {
-    if (Status s = at(id).Start(); !s.ok()) return s;
-    transport.SetPort(id, at(id).port());
-    return Status::Ok();
-  }
-
-  /// A short-lived session for plain (non-txn) requests.
+  /// A short-lived session with `id`'s current incarnation.
   ghba::Result<DaemonClient> Connect(MdsId id) {
     return DaemonClient::Connect(at(id).port(), 2000);
+  }
+
+  /// A driver whose messages each open a session with the target's
+  /// current incarnation (so a restarted daemon on a new port is reached
+  /// with no rebinding), and whose confirmed death is the process state:
+  /// a daemon we kill -9'd, never a guess from timeouts.
+  TxnDriver Driver(TxnDriver::StepHook after_step = nullptr) {
+    return TxnDriver(
+        [this](MdsId id, const std::vector<std::uint8_t>& frame)
+            -> ghba::Result<std::vector<std::uint8_t>> {
+          auto c = Connect(id);
+          if (!c.ok()) return c.status();
+          return c->Call(frame);
+        },
+        [this](MdsId id) { return !at(id).running(); },
+        std::move(after_step));
   }
 
   Status Insert(const std::string& path, const FileMetadata& md) {
@@ -146,17 +150,16 @@ void RunFaultCase(Fleet& fleet, std::uint64_t& txn_id, const Fault& f) {
   const MdsId victim = f.victim_dst ? dst_home : src_home;
   std::uint32_t seen[5] = {0, 0, 0, 0, 0};
   bool fired = false;
-  TxnDriver driver(&fleet.transport,
-                   [&](TxnPhase phase, MdsId /*target*/) {
-                     const auto idx = static_cast<std::size_t>(phase);
-                     if (phase != f.phase || seen[idx]++ != f.k) return true;
-                     fired = true;
-                     if (f.crash) {
-                       fleet.Kill(victim);
-                       return true;  // the driver runs on into the dead peer
-                     }
-                     return false;  // client dies at this boundary
-                   });
+  TxnDriver driver = fleet.Driver([&](TxnPhase phase, MdsId /*target*/) {
+    const auto idx = static_cast<std::size_t>(phase);
+    if (phase != f.phase || seen[idx]++ != f.k) return true;
+    fired = true;
+    if (f.crash) {
+      fleet.at(victim).Kill9();
+      return true;  // the driver runs on into the dead peer
+    }
+    return false;  // client dies at this boundary
+  });
 
   const Status drove = driver.Rename(++txn_id, src, src_home, dst, dst_home);
   Check(fired, "armed fault fired");
@@ -165,11 +168,11 @@ void RunFaultCase(Fleet& fleet, std::uint64_t& txn_id, const Fault& f) {
             ")");
 
   if (f.crash) {
-    Check(fleet.Restart(victim).ok(), "victim restarted on its data dir");
+    Check(fleet.at(victim).Start().ok(), "victim restarted on its data dir");
   }
   // Resolution from a fresh driver — exactly what a recovering deployment
   // runs. Both homes must come out clean.
-  TxnDriver resolver(&fleet.transport);
+  TxnDriver resolver = fleet.Driver();
   for (const MdsId id : {src_home, dst_home}) {
     const auto left = resolver.ResolveInDoubt(id);
     Check(left.ok() && *left == 0,
@@ -260,8 +263,8 @@ int main(int argc, char** argv) {
       FileMetadata md;
       md.inode = 5000 + static_cast<std::uint64_t>(i);
       Check(fleet.Insert(src, md).ok(), "insert " + src);
-      TxnDriver driver(&fleet.transport);
-      Check(driver.Rename(++txn_id, src, src_home, dst, fleet.HomeOf(dst))
+      Check(fleet.Driver()
+                .Rename(++txn_id, src, src_home, dst, fleet.HomeOf(dst))
                 .ok(),
             "rename " + src + " -> " + dst);
       const auto s = fleet.Present(src);
