@@ -206,10 +206,10 @@ Status Client::Rename(const std::string& src, const std::string& dst) {
   promoted_.erase(src);
   if (Status s = cluster_->Rename(src, dst); !s.ok()) return s;
   // Durably committed; now make it coherent like Unlink does: the old
-  // name must answer NotFound everywhere, the new name must not be
-  // shadowed by a stale lease or L1 entry anywhere.
-  if (Status s = cluster_->InvalidatePath(src); !s.ok()) return s;
-  return cluster_->InvalidatePath(dst);
+  // name must answer NotFound everywhere. dst needs no broadcast: it was
+  // absent until the commit, and servers lease only stored paths and
+  // learn L1 hints only from found lookups, so none holds state for it.
+  return cluster_->InvalidatePath(src);
 }
 
 Status Client::CreateExclusive(const std::string& path,

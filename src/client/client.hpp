@@ -113,9 +113,10 @@ class Client {
   /// Atomically rename `src` to `dst` via WAL-journaled two-phase commit
   /// across the involved MDSs (protocol v5), then make the move coherent:
   /// both local cache entries are purged and kInvalidate is broadcast for
-  /// both names, so no server keeps a lease or L1 entry under the old
-  /// name. Ok means the rename is durably committed — a crash anywhere
-  /// after rolls it forward at recovery, never half-applies it.
+  /// src, so no server keeps a lease or L1 entry under the old name (dst
+  /// was absent, so no server can hold either for it). Ok means the
+  /// rename is durably committed — a crash anywhere after rolls it
+  /// forward at recovery, never half-applies it.
   Status Rename(const std::string& src, const std::string& dst);
 
   /// Atomic create-if-absent through the same transaction machinery:

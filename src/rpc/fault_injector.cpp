@@ -64,6 +64,24 @@ void FaultInjector::UnstallServer(MdsId id) {
   stalled_.erase(id);
 }
 
+void FaultInjector::FailRequests(MdsId to, MsgType type, Status reply) {
+  MutexLock lock(&mu_);
+  request_faults_.insert_or_assign({to, type}, std::move(reply));
+}
+
+void FaultInjector::ClearRequestFaults() {
+  MutexLock lock(&mu_);
+  request_faults_.clear();
+}
+
+std::optional<Status> FaultInjector::RequestFault(MdsId to,
+                                                  MsgType type) const {
+  MutexLock lock(&mu_);
+  const auto it = request_faults_.find({to, type});
+  if (it == request_faults_.end()) return std::nullopt;
+  return it->second;
+}
+
 bool FaultInjector::IsStalled(MdsId id) const {
   MutexLock lock(&mu_);
   return stalled_.contains(id);

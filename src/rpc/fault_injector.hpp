@@ -9,11 +9,15 @@
 // tests drive all faulted traffic from one client thread for exactly this
 // reason). Servers can additionally be stalled: a stalled event loop stops
 // servicing requests without closing its sockets, which is the failure mode
-// heart-beat detection (paper Section 4.5) exists to catch.
+// heart-beat detection (paper Section 4.5) exists to catch. Requests can
+// also be failed by destination and message type, to test how a lost or
+// shed answer propagates through a lookup.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -21,9 +25,12 @@
 
 #include "common/lookup_outcome.hpp"  // canonical MdsId
 #include "common/rng.hpp"
+#include "common/status.hpp"
 #include "common/sync.hpp"
 
 namespace ghba {
+
+enum class MsgType : std::uint16_t;  // rpc/protocol.hpp
 
 class FaultInjector {
  public:
@@ -74,6 +81,16 @@ class FaultInjector {
   void StallShard(MdsId id, std::uint32_t shard);
   void UnstallShard(MdsId id, std::uint32_t shard);
   bool IsShardStalled(MdsId id, std::uint32_t shard) const;
+
+  /// Targeted request faults, applied by the sending client: while armed,
+  /// every request of `type` to server `to` fails without reaching it.
+  /// With an OK `reply` the frame is lost and the attempt times out;
+  /// otherwise the request is answered with `reply`, the way a server
+  /// answers a request it sheds (Status::RetryAfter).
+  void FailRequests(MdsId to, MsgType type, Status reply = Status::Ok());
+  void ClearRequestFaults();
+  /// The fault armed for a request of `type` to `to`, if any. Thread-safe.
+  std::optional<Status> RequestFault(MdsId to, MsgType type) const;
 
   /// Phases of a replica migration (PrototypeCluster::MigrateReplica).
   /// Each phase's durable effect lands in a server WAL before the next
@@ -143,6 +160,8 @@ class FaultInjector {
   /// Armed one-shot crash-point tags (migration phases map onto the
   /// migrate.* tags; 2PC phase boundaries use txn.* / txnhalt.*).
   std::set<std::string> crash_points_ GHBA_GUARDED_BY(mu_);
+  std::map<std::pair<MdsId, MsgType>, Status> request_faults_
+      GHBA_GUARDED_BY(mu_);
 };
 
 /// Apply a kTruncate/kCorrupt plan to a payload copy: truncation drops a

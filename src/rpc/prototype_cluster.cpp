@@ -162,7 +162,7 @@ Status PrototypeCluster::Start() {
       }
     }
   }
-  PushMembershipLocked(ReconfigReason::kJoin);
+  PushMembershipLocked(ReconfigReason::kJoin, AliveServersLocked());
   started_ = true;
   return Status::Ok();
 }
@@ -182,6 +182,17 @@ void PrototypeCluster::StopLocked() {
 
 Result<std::vector<std::uint8_t>> PrototypeCluster::CallOnce(
     MdsId id, const std::vector<std::uint8_t>& req, Deadline deadline) {
+  // An injected request fault answers in place of the peer: the frame
+  // never leaves this client.
+  if (injector_ != nullptr) {
+    ByteReader in(req);
+    if (const auto type = DecodeType(in); type.ok()) {
+      if (auto fault = injector_->RequestFault(id, *type)) {
+        if (fault->ok()) return Status::TimedOut("request frame lost");
+        return EncodeStatusResp(*fault);
+      }
+    }
+  }
   auto it = conns_.find(id);
   if (it == conns_.end()) {
     const auto connect_budget = std::min<int>(
@@ -400,10 +411,11 @@ Status PrototypeCluster::EnsureCoverage(GroupInfo& g) {
   return Status::Ok();
 }
 
-void PrototypeCluster::PushMembershipLocked(ReconfigReason reason) {
+void PrototypeCluster::PushMembershipLocked(ReconfigReason reason,
+                                            std::vector<MdsId> targets) {
   FlagGuard guard(in_failover_);  // push traffic accounts, never chases
   ++routing_epoch_;
-  for (const MdsId id : AliveServersLocked()) {
+  for (const MdsId id : targets) {
     MembershipUpdate update;
     update.epoch = routing_epoch_;
     update.reason = reason;
@@ -499,9 +511,14 @@ Result<LookupOutcome> PrototypeCluster::Lookup(const std::string& path) {
   return LookupLocked(path);
 }
 
-Result<LookupOutcome> PrototypeCluster::LookupLocked(
-    const std::string& path) {
+Result<LookupOutcome> PrototypeCluster::LookupLocked(const std::string& path,
+                                                     bool teach_l1) {
   QueryCtx q;
+  q.serial = ++lookup_serial_;
+  q.teach_l1 = teach_l1;
+  if (ruled_out_in_.size() < servers_.size()) {
+    ruled_out_in_.resize(servers_.size(), 0);  // grows with the cluster only
+  }
   q.start_ms = NowMs();
   q.mark_ms = q.start_ms;
   q.retries_before = health_.TotalCounts().retries;
@@ -519,6 +536,10 @@ Result<LookupOutcome> PrototypeCluster::LookupLocked(
           DecodeLocalLookupResp);
       decoded.ok()) {
     local = std::move(*decoded);
+    if (std::find(local.hits.begin(), local.hits.end(), entry) ==
+        local.hits.end()) {
+      RuleOut(q, entry);
+    }
   }
 
   if (local.lru_unique && TryVerifyOnce(q, local.lru_home, path)) {
@@ -548,6 +569,10 @@ Result<LookupOutcome> PrototypeCluster::LookupLocked(
           DecodeReply(Call(m, EncodePathRequest(MsgType::kGroupProbe, path)),
                       DecodeLocalLookupResp);
       if (!presp.ok()) continue;  // a slow/dead peer must not fail the query
+      if (std::find(presp->hits.begin(), presp->hits.end(), m) ==
+          presp->hits.end()) {
+        RuleOut(q, m);
+      }
       candidates.insert(candidates.end(), presp->hits.begin(),
                         presp->hits.end());
     }
@@ -562,12 +587,14 @@ Result<LookupOutcome> PrototypeCluster::LookupLocked(
     q.CloseLevel(3);
   }
 
-  // L4: global probe. L4 is the exact level, so a peer we could not reach
-  // leaves the verdict uncertain: report Unavailable rather than a
-  // confident (and possibly wrong) "not found".
+  // L4: global probe of every live server L1-L3 did not rule out (on a
+  // miss the entry and its group answered already, so N - |G| probes).
+  // L4 is the exact level, so a peer we could not reach leaves the verdict
+  // uncertain: report Unavailable rather than a confident (and possibly
+  // wrong) "not found".
   bool all_peers_answered = true;
   for (MdsId m = 0; m < servers_.size(); ++m) {
-    if (!servers_[m]) continue;
+    if (!servers_[m] || RuledOut(q, m)) continue;
     q.Contact(m);
     auto found =
         DecodeReply(Call(m, EncodePathRequest(MsgType::kGlobalProbe, path)),
@@ -598,8 +625,19 @@ bool PrototypeCluster::TryVerifyOnce(QueryCtx& q, MdsId candidate,
   // hierarchy, not that it fails (Sec. 4.5). The exact L4 pass backstops
   // any candidate skipped here.
   auto v = VerifyAt(candidate, path);
-  if (v.ok() && !*v) q.trace.false_route = true;  // confident wrong route
+  if (v.ok() && !*v) {
+    q.trace.false_route = true;  // confident wrong route
+    RuleOut(q, candidate);
+  }
   return v.ok() && *v;
+}
+
+void PrototypeCluster::RuleOut(const QueryCtx& q, MdsId id) {
+  if (id < ruled_out_in_.size()) ruled_out_in_[id] = q.serial;
+}
+
+bool PrototypeCluster::RuledOut(const QueryCtx& q, MdsId id) const {
+  return id < ruled_out_in_.size() && ruled_out_in_[id] == q.serial;
 }
 
 LookupOutcome PrototypeCluster::FinishLookup(const std::string& path,
@@ -654,7 +692,7 @@ LookupOutcome PrototypeCluster::FinishLookup(const std::string& path,
   report.retries = q.trace.retries;
   // Telemetry one-ways: losing one only skews per-level hit counters.
   (void)OneWay(q.entry, EncodeOutcomeReport(report));
-  if (found) {
+  if (found && q.teach_l1) {
     (void)OneWay(q.entry, EncodeTouch(path, home));  // L1 hint, advisory
   }
   return result;
@@ -662,7 +700,7 @@ LookupOutcome PrototypeCluster::FinishLookup(const std::string& path,
 
 Status PrototypeCluster::Unlink(const std::string& path) {
   MutexLock lock(&mu_);
-  auto located = LookupLocked(path);
+  auto located = LookupLocked(path, /*teach_l1=*/false);
   if (!located.ok()) return located.status();
   if (!located->found) return Status::NotFound(path);
   return StatusReply(
@@ -744,7 +782,7 @@ Status PrototypeCluster::Rename(const std::string& src,
     if (!started_) return Status::Unavailable("cluster not started");
     const auto alive = AliveServersLocked();
     if (alive.empty()) return Status::Unavailable("no servers");
-    auto located = LookupLocked(src);
+    auto located = LookupLocked(src, /*teach_l1=*/false);
     if (!located.ok()) return located.status();
     if (!located->found) return Status::NotFound(src);
     src_home = located->home;
@@ -893,7 +931,7 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::AddServer() {
   }
   if (Status s = StartServer(nid); !s.ok()) return s;
   if (Status s = JoinTopologyLocked(nid); !s.ok()) return s;
-  PushMembershipLocked(ReconfigReason::kJoin);
+  PushMembershipLocked(ReconfigReason::kJoin, AliveServersLocked());
   const std::uint64_t delta = TotalFramesInLocked() - frames_before;
   metrics_.reconfig_messages += delta;
   return ReconfigOutcome{nid, delta};
@@ -926,7 +964,7 @@ Status PrototypeCluster::SplitGroupLocked(std::size_t victim) {
   }
   if (Status s = EnsureCoverage(groups_[victim]); !s.ok()) return s;
   if (Status s = EnsureCoverage(groups_.back()); !s.ok()) return s;
-  PushMembershipLocked(ReconfigReason::kSplit);
+  PushMembershipLocked(ReconfigReason::kSplit, AliveServersLocked());
   return Status::Ok();
 }
 
@@ -1091,7 +1129,7 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
   // Refresh every replica so the rejoined server serves current filters
   // (its recovered copies may predate mutations on the survivors).
   if (Status s = PublishAllLocked(); !s.ok()) return s;
-  PushMembershipLocked(ReconfigReason::kJoin);
+  PushMembershipLocked(ReconfigReason::kJoin, AliveServersLocked());
   return *info;
 }
 
@@ -1216,7 +1254,7 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   // start life marked dead.
   health_.Forget(id);
   if (Status s = PublishAllLocked(); !s.ok()) return s;
-  PushMembershipLocked(ReconfigReason::kLeave);
+  PushMembershipLocked(ReconfigReason::kLeave, AliveServersLocked());
 
   const std::uint64_t delta =
       TotalFramesInLocked() + victim_frames - frames_before;
@@ -1300,7 +1338,7 @@ Status PrototypeCluster::FailOver(MdsId id) {
   // peer's health verdict deliberately survives (tests assert the kDead
   // state is visible after automatic detection); only a graceful
   // RemoveServer — or a restart of the same id — clears it.
-  PushMembershipLocked(ReconfigReason::kFailover);
+  PushMembershipLocked(ReconfigReason::kFailover, AliveServersLocked());
   metrics_.reconfig_messages +=
       TotalFramesInLocked() + victim_frames - frames_before;
   return result;
@@ -1357,10 +1395,11 @@ Status PrototypeCluster::MigrateReplica(MdsId owner, MdsId to) {
   }
 
   // Phase 2 — flip: rewrite the holder map and push the bumped epoch to
-  // every live server (journaled on each durable one). The commit point:
-  // from here recovery completes the migration instead of undoing it.
+  // the group (journaled on each durable member); no other server routes
+  // through this holder map. The commit point: from here recovery
+  // completes the migration instead of undoing it.
   assignment->second = to;
-  PushMembershipLocked(ReconfigReason::kMigrate);
+  PushMembershipLocked(ReconfigReason::kMigrate, g.members);
   if (injector_ != nullptr &&
       injector_->ConsumeMigrationCrash(FaultInjector::MigrationPhase::kFlip)) {
     return CrashMigrationLocked(from, "flip");

@@ -176,11 +176,15 @@ class PrototypeCluster {
   /// starts:
   ///   1. prepare — snapshot the owner's current filter, install it
   ///      (journaled) on `to`; the old holder still routes.
-  ///   2. flip — rewrite the holder map and push a bumped routing epoch
-  ///      to every live server, not just the group (PushMembershipLocked:
-  ///      one kMembershipUpdate each, journaled by every durable server).
-  ///      This is the commit point. On N servers a migration therefore
-  ///      costs N + 3 messages and N + 2 WAL appends.
+  ///   2. flip — rewrite the holder map, bump the routing epoch and push
+  ///      it to the members of `to`'s group G only (one kMembershipUpdate
+  ///      each, journaled by every durable member): the holder map is the
+  ///      only thing that changed, and only G routes through it. This is
+  ///      the commit point. A migration therefore costs |G| + 3 messages
+  ///      and |G| + 2 WAL appends, whatever the cluster size. Outsiders
+  ///      keep their older epoch, which is harmless: a later push still
+  ///      strictly increases it, and Start folds in the highest epoch any
+  ///      server recovered.
   ///   3. retire — the old holder drops (journals) its copy.
   /// Between 1 and 3 both holders answer probes for the owner — the
   /// dual-epoch window: lookups racing the flip probe a superset of
@@ -233,8 +237,11 @@ class PrototypeCluster {
   Result<LeaseGrantResp> RequestLease(MdsId home, const std::string& path);
 
   /// Broadcast kInvalidate for `path` to every live server: each drops any
-  /// lease and L1 entry it holds for the path. Best-effort per peer — an
-  /// unreachable server's leases die by TTL instead — but a peer that
+  /// lease and L1 entry it holds for the path. Only a path that was stored
+  /// needs one (an unlinked path, a rename's src): leases are granted only
+  /// for stored paths and L1 hints are planted only by found lookups, so a
+  /// path that never existed has nothing to revoke. Best-effort per peer —
+  /// an unreachable server's leases die by TTL instead — but a peer that
   /// answers with an error fails the call, so callers can assert coherence.
   Status InvalidatePath(const std::string& path);
 
@@ -260,6 +267,8 @@ class PrototypeCluster {
   /// attribution per level, distinct peers contacted, the verify memo and
   /// the trace under construction. Plain data — no locking of its own.
   struct QueryCtx {
+    std::uint64_t serial = 0;  ///< this lookup's mark in ruled_out_in_
+    bool teach_l1 = true;      ///< send the entry a kTouchLru on a hit
     MdsId entry = kInvalidMds;
     double start_ms = 0;
     double mark_ms = 0;               ///< start of the level in progress
@@ -329,11 +338,14 @@ class PrototypeCluster {
   /// hold the in_failover_ flag.
   Status SplitGroupLocked(std::size_t victim) GHBA_REQUIRES(mu_);
 
-  /// Bump the routing epoch and push every live server its new group view
-  /// via kMembershipUpdate. Best-effort: an unreachable peer catches up on
-  /// the next push (or at rejoin); until then its stale view costs routing
-  /// efficiency only — the exact L4 level keeps answers correct.
-  void PushMembershipLocked(ReconfigReason reason) GHBA_REQUIRES(mu_);
+  /// Bump the routing epoch and push each of `targets` its new group view
+  /// via kMembershipUpdate. A change of the whole topology targets every
+  /// live server; a change confined to one group targets its members.
+  /// Best-effort: an unreachable peer catches up on the next push (or at
+  /// rejoin); until then its stale view costs routing efficiency only —
+  /// the exact L4 level keeps answers correct.
+  void PushMembershipLocked(ReconfigReason reason, std::vector<MdsId> targets)
+      GHBA_REQUIRES(mu_);
 
   /// kGetMembership round-trip (locked body of MembershipOf).
   Result<MembershipResp> FetchMembership(MdsId id) GHBA_REQUIRES(mu_);
@@ -374,23 +386,35 @@ class PrototypeCluster {
       GHBA_REQUIRES(mu_);
   /// Verifies `candidate` at most once per lookup (`q.verified` is the
   /// per-lookup memo). A verify that answers "not here" marks the trace as
-  /// a false route. Named helpers instead of lambdas so the thread-safety
-  /// analysis sees the REQUIRES(mu_) contract: Clang analyzes a lambda
-  /// body as a separate unannotated function, losing the caller's
-  /// held-lock set.
+  /// a false route and rules the candidate out of L4. Named helpers
+  /// instead of lambdas so the thread-safety analysis sees the
+  /// REQUIRES(mu_) contract: Clang analyzes a lambda body as a separate
+  /// unannotated function, losing the caller's held-lock set.
   bool TryVerifyOnce(QueryCtx& q, MdsId candidate, const std::string& path)
       GHBA_REQUIRES(mu_);
+  /// Record that `id` answered in this lookup that it does not store the
+  /// path, so L4 skips it. Only a definite answer counts: a probe whose
+  /// `hits` omit the replier's own id (its local counting filter has no
+  /// false negatives), or a verify that returned ok + false. A failed,
+  /// timed-out or shed call rules nothing out, so L4 stays exact.
+  void RuleOut(const QueryCtx& q, MdsId id) GHBA_REQUIRES(mu_);
+  bool RuledOut(const QueryCtx& q, MdsId id) const GHBA_REQUIRES(mu_);
   /// Completes a LookupOutcome: closes the serving level, seals the trace,
   /// accounts the query into the client metrics, fire-and-forgets a
   /// kReportOutcome to the entry server (Fig. 13 accounting lives
   /// server-side) and, on a hit, a kTouchLru so the entry's L1 cache
-  /// learns the answer.
+  /// learns the answer (unless `q.teach_l1` is off).
   LookupOutcome FinishLookup(const std::string& path, QueryCtx& q, int level,
                              bool found, MdsId home) GHBA_REQUIRES(mu_);
 
   // Locked bodies of the public entry points that other operations reuse
   // (Unlink locates via a lookup; RemoveServer republishes filters).
-  Result<LookupOutcome> LookupLocked(const std::string& path)
+  /// The four-level cascade. L4 probes only the live servers that L1–L3
+  /// did not rule out (see RuleOut). `teach_l1` is off for the locate of a
+  /// mutation that is about to void the placement it finds (Unlink, the
+  /// src of a Rename): the entry's L1 would only learn a stale hint.
+  Result<LookupOutcome> LookupLocked(const std::string& path,
+                                     bool teach_l1 = true)
       GHBA_REQUIRES(mu_);
   Status PublishAllLocked() GHBA_REQUIRES(mu_);
   std::vector<MdsId> AliveServersLocked() const GHBA_REQUIRES(mu_);
@@ -419,6 +443,12 @@ class PrototypeCluster {
   /// a new orchestrator incarnation never pushes an epoch the survivors
   /// would reject as stale.
   std::uint64_t routing_epoch_ GHBA_GUARDED_BY(mu_) = 0;
+  /// L4 skip list without a per-lookup allocation: indexed by MdsId, the
+  /// serial of the last lookup that ruled that server out. A server is
+  /// skipped only when the entry carries the current lookup's serial, so a
+  /// stale or overwritten entry can only cost an extra probe.
+  std::vector<std::uint64_t> ruled_out_in_ GHBA_GUARDED_BY(mu_);
+  std::uint64_t lookup_serial_ GHBA_GUARDED_BY(mu_) = 0;
   /// Txn id allocator; 0 means "not yet seeded" (NextTxnIdLocked draws a
   /// random base — txn id 0 itself is reserved by the wire codecs).
   std::uint64_t next_txn_id_ GHBA_GUARDED_BY(mu_) = 0;

@@ -158,6 +158,36 @@ TEST(ClientCacheTest, OtherClientsStalenessIsBoundedByTheLeaseTtl) {
   EXPECT_FALSE(r->from_cache);
 }
 
+TEST(ClientCacheTest, RenameBroadcastsOneInvalidationPerServerForSrcOnly) {
+  PrototypeCluster cluster(ClientTestConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  BuildNamespace(cluster, 4);
+  FakeClockClient client(&cluster);
+  ASSERT_TRUE(client->Lookup("/cli/f0").ok());  // src leased and cached
+
+  const auto invalidations = [&] {
+    std::uint64_t sum = 0;
+    for (const MdsId id : cluster.AliveServers()) {
+      const auto snap = cluster.FetchStats(id);
+      EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+      if (snap.ok()) sum += snap->metrics.CounterOr("serve.invalidations");
+    }
+    return sum;
+  };
+  const std::uint64_t before = invalidations();
+  ASSERT_TRUE(client->Rename("/cli/f0", "/cli/renamed").ok());
+  // One kInvalidate per live server, for src: dst was absent until the
+  // commit, so no server holds a lease or an L1 hint for it.
+  EXPECT_EQ(invalidations() - before, cluster.AliveServers().size());
+
+  const auto src = client->Lookup("/cli/f0");
+  ASSERT_TRUE(src.ok());
+  EXPECT_FALSE(src->found);
+  const auto dst = client->Lookup("/cli/renamed");
+  ASSERT_TRUE(dst.ok());
+  EXPECT_TRUE(dst->found);
+}
+
 TEST(ClientCacheTest, EpochBumpInvalidatesAcrossACleanMigration) {
   PrototypeCluster cluster(ClientTestConfig(), ProtoScheme::kGhba);
   ASSERT_TRUE(cluster.Start().ok());

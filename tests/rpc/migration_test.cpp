@@ -144,6 +144,47 @@ TEST(MigrationTest, CleanMigrationMovesPlacementAndKeepsLookupsCorrect) {
   EXPECT_TRUE(cluster.MigrateReplica(a.owner, a.to).ok());
 }
 
+TEST(MigrationTest, FlipPushesTheEpochToTheTargetGroupOnly) {
+  PrototypeCluster cluster(MigrationConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto home_of = BuildNamespace(cluster, 24);
+  const auto a = PickActors(cluster);
+  ASSERT_NE(a.from, a.to);
+  const std::uint64_t epoch_before = cluster.RoutingEpoch();
+  const auto group = cluster.MembershipOf(a.to);
+  ASSERT_TRUE(group.ok());
+  const auto in_group = [&](MdsId id) {
+    return std::find(group->members.begin(), group->members.end(), id) !=
+           group->members.end();
+  };
+
+  ASSERT_TRUE(cluster.MigrateReplica(a.owner, a.to).ok());
+  ASSERT_GT(cluster.RoutingEpoch(), epoch_before);
+  std::size_t outsiders = 0;
+  for (const MdsId id : cluster.AliveServers()) {
+    const auto view = cluster.MembershipOf(id);
+    ASSERT_TRUE(view.ok()) << id;
+    if (in_group(id)) {
+      EXPECT_EQ(view->epoch, cluster.RoutingEpoch()) << id;
+    } else {
+      ++outsiders;
+      EXPECT_EQ(view->epoch, epoch_before) << id;  // nothing they route moved
+    }
+  }
+  ASSERT_GT(outsiders, 0u);
+  ExpectAllLookupsCorrect(cluster, home_of);
+
+  // The outsiders' older epoch does not fence them off: the next
+  // cluster-wide push is still strictly newer, and every server takes it.
+  ASSERT_TRUE(cluster.AddServer().ok());
+  for (const MdsId id : cluster.AliveServers()) {
+    const auto view = cluster.MembershipOf(id);
+    ASSERT_TRUE(view.ok()) << id;
+    EXPECT_EQ(view->epoch, cluster.RoutingEpoch()) << id;
+  }
+  ExpectAllLookupsCorrect(cluster, home_of);
+}
+
 TEST(MigrationTest, RejectsUnknownActors) {
   PrototypeCluster cluster(MigrationConfig(), ProtoScheme::kGhba);
   ASSERT_TRUE(cluster.Start().ok());

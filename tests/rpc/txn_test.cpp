@@ -178,6 +178,41 @@ TEST(TxnTest, CreateExclusiveCreatesOnceAtTheHashHome) {
   EXPECT_TRUE(cluster.CreateExclusive(path, md).ok());
 }
 
+TEST(TxnTest, CreateExclusiveRefusesAPathInsertPlacedOffItsHashHome) {
+  PrototypeCluster cluster(TxnConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+
+  // Plain Insert places a path on a random server. Retry until it lands
+  // off the hash home, where CreateExclusive's prepare vote would not see
+  // it: only the cluster-wide lookup before the drive can refuse then.
+  const std::string path = "/txn/offhome";
+  FileMetadata md;
+  md.inode = 9;
+  const MdsId hash_home = HashHome(cluster, path);
+  MdsId home = hash_home;
+  for (int i = 0; i < 64 && home == hash_home; ++i) {
+    ASSERT_TRUE(cluster.Insert(path, md).ok());
+    const auto r = cluster.Lookup(path);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r->found);
+    home = r->home;
+    if (home == hash_home) {
+      ASSERT_TRUE(cluster.Unlink(path).ok());
+    }
+  }
+  ASSERT_NE(home, hash_home) << "Insert never left the hash home";
+
+  EXPECT_EQ(cluster.CreateExclusive(path, md).code(),
+            StatusCode::kAlreadyExists);
+  // No second copy appeared on the hash home.
+  const auto on_hash_home = cluster.VerifyOn(hash_home, path);
+  ASSERT_TRUE(on_hash_home.ok());
+  EXPECT_FALSE(*on_hash_home);
+  const auto on_home = cluster.VerifyOn(home, path);
+  ASSERT_TRUE(on_home.ok());
+  EXPECT_TRUE(*on_home);
+}
+
 // --- client-death (halt) cases: the driver stops mid-choreography, the
 // servers stay up, and ResolveInDoubt must finish what the decision (or
 // presumed abort) dictates. ---------------------------------------------
